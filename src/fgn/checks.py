@@ -19,7 +19,7 @@ from .fusion import WindowSpec, fuse_character, init_fusion_params
 from .glyphs import GlyphAtlas
 from .gradcheck import GradCheckReport, grad_check
 from .model import FgnModel
-from .ops import conv2d, conv3d, dropout, lstm_step, maxpool2d, pool1d
+from .ops import conv2d, conv3d, dropout, lstm_sequence, lstm_step, maxpool2d, pool1d
 from .ops import init_lstm_params
 from .tagger import (LabelScheme, TaggerParams, bilstm_encode, init_crf_params,
                      nll_loss)
@@ -143,6 +143,18 @@ def _build_lstm_step():
     return loss, cell.parameters() + [x, h0, c0]
 
 
+def _build_lstm_sequence(reverse: bool):
+    def build():
+        rng = np.random.default_rng(115)
+        cell = init_lstm_params(4, 3, np.random.default_rng(7), "cell")
+        for p in cell.parameters():
+            p.data[...] = rng.standard_normal(p.data.shape)
+        x = _p(rng, (5, 4), "x")
+        r = rng.standard_normal((5, 3))
+        return (lambda: _dot(lstm_sequence(x, cell, reverse), r)), cell.parameters() + [x]
+    return build
+
+
 def _build_fusion():
     rng = np.random.default_rng(112)
     spec = WindowSpec(d_char=8, k_char=4, s_char=2, d_glyph=4, k_glyph=2, s_glyph=1)
@@ -215,6 +227,8 @@ CHECKS = (
     CheckSpec("pool1d_max_avg", ("cnn",), _build_pool1d),
     CheckSpec("encode_sequence", ("cnn",), _build_encode_sequence, max_coords=4),
     CheckSpec("lstm_step", ("tagger",), _build_lstm_step),
+    CheckSpec("lstm_sequence", ("tagger",), _build_lstm_sequence(False)),
+    CheckSpec("lstm_sequence_reverse", ("tagger",), _build_lstm_sequence(True)),
     CheckSpec("fuse_character_attention", ("fusion",), _build_fusion),
     CheckSpec("bilstm_crf_nll", ("tagger",), _build_bilstm_crf),
     CheckSpec("crf_passthrough_masked", ("tagger",), _build_crf_passthrough),

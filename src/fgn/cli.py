@@ -13,7 +13,8 @@ from .config import load_config
 from .corpus import decode_entities, evaluate, load_conll
 from .glyphs import load_atlas
 from .model import FgnModel
-from .train import ablate, format_ablation_table, predict_labels, train
+from .train import (ablate, dev_provider, format_ablation_table, predict_labels,
+                    train)
 
 
 def _load_dataset(path):
@@ -53,7 +54,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = FgnModel.load(args.model)
     data = _load_dataset(args.data)
-    preds = predict_labels(model, data)
+    preds = predict_labels(model, data, dev_provider(model.config))
     p, r, f1 = evaluate(data, preds)
     print("precision=%.4f recall=%.4f f1=%.4f" % (p, r, f1))
     return 0
@@ -65,13 +66,18 @@ def cmd_predict(args) -> int:
         text = args.text.strip()
         if not text:
             raise ValueError("empty input text")
+        if model.config.embedding.kind == "file_backed":
+            raise ValueError("the model reads file_backed embeddings, which hold no vectors for "
+                             "free text; use --data with the sentences of embedding.dev_path")
         sentences = [text]
+        provider = None
     else:
         sentences = [s.chars for s in _load_dataset(args.data)]
+        provider = dev_provider(model.config)
     for i, sentence in enumerate(sentences):
         if i:
             print()
-        labels = model.decode(sentence, i)
+        labels = model.decode(sentence, i, provider)
         for ch, lab in zip(sentence, labels):
             print("%s\t%s" % (ch, lab))
         spans = decode_entities(labels)

@@ -3,7 +3,9 @@
 Convolutions run as im2col + one matmul so the single-threaded BLAS does the
 heavy lifting; the data gradient is another same-padding correlation with the
 kernel flipped on every spatial axis and in/out channels swapped, which is
-exact for stride 1, odd kernels, same padding.
+exact for stride 1, odd kernels, same padding. The LSTM runs a whole sentence
+as one graph node with hand-written backpropagation through time; the
+per-step cell stays as its reference.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Parameter, Tensor, sigmoid, tanh, narrow, uniform_fan_init
+from .tensor import (Parameter, Tensor, narrow, sigmoid, sigmoid_array, tanh,
+                     uniform_fan_init)
 
 
 def _windows2d(xp: np.ndarray, k: int) -> np.ndarray:
@@ -241,7 +244,7 @@ def init_lstm_params(d_in: int, d_hidden: int, rng: np.random.Generator, prefix:
 
 
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmCellParams) -> tuple[Tensor, Tensor]:
-    """One LSTM cell update; returns (h, c)."""
+    """One LSTM cell update; returns (h, c). The per-step reference for lstm_sequence."""
     hs = params.hidden_size
     z = params.input_weight @ x + params.hidden_weight @ h_prev + params.bias
     i = sigmoid(narrow(z, 0, hs))
@@ -251,3 +254,67 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmCellParams)
     c = f * c_prev + i * g
     h = o * tanh(c)
     return h, c
+
+
+def lstm_sequence(x: Tensor, cell: LstmCellParams, reverse: bool = False) -> Tensor:
+    """LSTM from zero state over the rows of x (tau, D); returns the (tau, H) hidden states.
+
+    The whole recurrence is one graph node. The input projection X @ W_ih^T + b
+    is one GEMM for all timesteps, so only W_hh @ h runs per step (Appleyard et
+    al. 2016, arXiv:1604.01946). Backpropagation through time collects the gate
+    pre-activation gradients dZ (tau, 4H); then dW_ih = dZ^T X, dW_hh = dZ^T H_prev,
+    db = sum(dZ) and dX = dZ W_ih are one GEMM each. With reverse=True the rows
+    are read last to first, and row t of the result is still the state after row t.
+    Equals a chain of lstm_step calls up to float rounding.
+    """
+    hs = cell.hidden_size
+    w_ih = cell.input_weight.data
+    if x.data.ndim != 2 or x.data.shape[0] == 0 or x.data.shape[1] != w_ih.shape[1]:
+        raise ValueError("lstm_sequence input must be (tau>0, %d), got %r" % (w_ih.shape[1], x.shape))
+    seq = x.data[::-1] if reverse else x.data
+    tau = seq.shape[0]
+    w_hh = cell.hidden_weight.data
+    zx = seq @ w_ih.T + cell.bias.data
+    gates = np.empty((tau, 4 * hs))     # activations i, f, g, o in processing order
+    cells = np.empty((tau, hs))
+    tanh_c = np.empty((tau, hs))
+    hidden = np.empty((tau, hs))
+    c = np.zeros(hs)
+    for t in range(tau):
+        z = zx[t] + w_hh @ hidden[t - 1] if t else zx[t]
+        a = gates[t]
+        a[:] = sigmoid_array(z)
+        a[2 * hs:3 * hs] = np.tanh(z[2 * hs:3 * hs])
+        c = cells[t] = a[hs:2 * hs] * c + a[:hs] * a[2 * hs:3 * hs]
+        tanh_c[t] = np.tanh(c)
+        hidden[t] = a[3 * hs:] * tanh_c[t]
+    out = Tensor(hidden[::-1] if reverse else hidden,
+                 (x, cell.input_weight, cell.hidden_weight, cell.bias))
+
+    def back(g, inp=x, p=cell, rev=reverse):
+        g = g[::-1] if rev else g
+        dz = np.empty((tau, 4 * hs))
+        dh_next = np.zeros(hs)
+        dc_next = np.zeros(hs)
+        for t in range(tau - 1, -1, -1):
+            a = gates[t]
+            i, f, gg, o = a[:hs], a[hs:2 * hs], a[2 * hs:3 * hs], a[3 * hs:]
+            dh = g[t] + dh_next
+            tc = tanh_c[t]
+            dc = dh * o * (1.0 - tc * tc) + dc_next
+            d = dz[t]
+            d[:hs] = dc * gg * i * (1.0 - i)
+            d[hs:2 * hs] = dc * cells[t - 1] * f * (1.0 - f) if t else 0.0
+            d[2 * hs:3 * hs] = dc * i * (1.0 - gg * gg)
+            d[3 * hs:] = dh * tc * o * (1.0 - o)
+            if t:
+                dc_next = dc * f
+                dh_next = d @ w_hh
+        p.input_weight.accumulate(dz.T @ seq)
+        p.hidden_weight.accumulate(dz[1:].T @ hidden[:-1])
+        p.bias.accumulate(dz.sum(axis=0))
+        dx = dz @ w_ih
+        inp.accumulate(dx[::-1] if rev else dx)
+
+    out._backward = back
+    return out

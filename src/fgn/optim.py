@@ -19,8 +19,28 @@ class AdamState:
         self.v = [np.zeros_like(p.data) for p in params]
 
 
+# elements per block: a block of p, grad, m, v and the two scratch buffers stays in a core's cache
+ADAM_BLOCK = 1 << 14
+
+
+def _row_blocks(*arrays):
+    """Matching views of equal-shaped arrays, in slices of whole leading-axis rows of about ADAM_BLOCK elements."""
+    if arrays[0].ndim == 0:
+        arrays = tuple(a.reshape(1) for a in arrays)
+    rows = arrays[0].shape[0]
+    step = max(1, ADAM_BLOCK * rows // max(1, arrays[0].size))
+    for r in range(0, rows, step):
+        yield tuple(a[r:r + step] for a in arrays)
+
+
 def adam_step(params: list, state: AdamState) -> None:
-    """Apply one update to every trainable parameter, then zero all gradients."""
+    """Apply one update to every trainable parameter, then zero all gradients.
+
+    Bit-identical to m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) as whole-array expressions: the
+    same operations run in the same order, but block by block, in place, with two
+    block-sized scratch buffers, so no full-size temporary is made.
+    """
     if len(params) != len(state.m):
         raise ValueError("parameter list does not match optimizer state (%d vs %d)"
                          % (len(params), len(state.m)))
@@ -30,13 +50,24 @@ def adam_step(params: list, state: AdamState) -> None:
     bc2 = 1.0 - state.beta2 ** t
     for p, m, v in zip(params, state.m, state.v):
         if p.trainable:
-            g = p.grad
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            p.data -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        p.grad[...] = 0.0
+            for pb, g, mb, vb in _row_blocks(p.data, p.grad, m, v):
+                s1 = np.multiply(g, 1.0 - state.beta1)
+                mb *= state.beta1
+                mb += s1
+                np.multiply(g, 1.0 - state.beta2, out=s1)
+                s1 *= g
+                vb *= state.beta2
+                vb += s1
+                np.divide(mb, bc1, out=s1)
+                s1 *= state.learning_rate
+                s2 = np.divide(vb, bc2)
+                np.sqrt(s2, out=s2)
+                s2 += state.eps
+                s1 /= s2
+                pb -= s1
+                g[...] = 0.0
+        else:
+            p.grad[...] = 0.0
 
 
 def zero_grads(params: list) -> None:

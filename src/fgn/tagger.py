@@ -15,9 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .ops import LstmCellParams, dropout, init_lstm_params, lstm_step
+from .ops import LstmCellParams, dropout, init_lstm_params, lstm_sequence
 from .tensor import (Parameter, Tensor, logsumexp, narrow, stack_rows, take,
-                     uniform_fan_init)
+                     uniform_fan_init, unstack_rows)
 
 TAGGER_VARIANTS = ("bilstm", "lstm", "none")
 
@@ -130,30 +130,24 @@ def init_tagger_params(variant: str, d_in: int, d_hidden: int, rng: np.random.Ge
                         dropout_rate=dropout_rate)
 
 
-def _run_lstm(xs: list, cell: LstmCellParams) -> list:
-    h = Tensor(np.zeros(cell.hidden_size))
-    c = Tensor(np.zeros(cell.hidden_size))
-    out = []
-    for x in xs:
-        h, c = lstm_step(x, h, c, cell)
-        out.append(h)
-    return out
-
-
 def bilstm_encode(xs: list, params: TaggerParams, training: bool = False,
                   rng: np.random.Generator | None = None) -> list:
-    """Hidden sequence per variant: both directions summed, forward only, or pass-through."""
+    """Hidden sequence per variant: both directions summed, forward only, or pass-through.
+
+    The characters run through each direction as one (tau, D) matrix; the
+    result is split back into one hidden-state row per character.
+    """
     if len(xs) == 0:
         raise ValueError("bilstm_encode needs a non-empty input sequence")
     if params.variant == "none":
         return list(xs)
-    hs = _run_lstm(xs, params.forward_cell)
+    x = stack_rows(xs)
+    h = lstm_sequence(x, params.forward_cell)
     if params.variant == "bilstm":
-        back = _run_lstm(list(reversed(xs)), params.backward_cell)
-        hs = [f + b for f, b in zip(hs, reversed(back))]
-    if training and params.dropout_rate > 0.0:
-        hs = [dropout(h, params.dropout_rate, training, rng) for h in hs]
-    return hs
+        h = h + lstm_sequence(x, params.backward_cell, reverse=True)
+    # one (tau, d_h) mask draws the same rng stream as tau per-row draws
+    h = dropout(h, params.dropout_rate, training, rng)
+    return unstack_rows(h)
 
 
 # ---- CRF scoring ----

@@ -201,13 +201,18 @@ def uniform_fan_init(rng: np.random.Generator, shape: tuple, fan_in: int, fan_ou
 # ---- elementwise / reduction ops ----
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    xd = x.data
+def sigmoid_array(xd: np.ndarray) -> np.ndarray:
+    """Overflow-free logistic function on a plain array."""
     out_d = np.empty_like(xd)
     pos = xd >= 0
     out_d[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
     ex = np.exp(xd[~pos])
     out_d[~pos] = ex / (1.0 + ex)
+    return out_d
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out_d = sigmoid_array(x.data)
     out = Tensor(out_d, (x,))
     out._backward = lambda g, a=x, o=out_d: a.accumulate(g * o * (1.0 - o))
     return out
@@ -277,6 +282,24 @@ def stack_rows(rows: list) -> Tensor:
 
     out._backward = back
     return out
+
+
+def unstack_rows(x: Tensor) -> list:
+    """Split a matrix into its row vectors; the inverse of stack_rows."""
+    if x.data.ndim != 2:
+        raise ValueError("unstack_rows expects a matrix, got shape %r" % (x.shape,))
+    rows = []
+    for t in range(x.data.shape[0]):
+        row = Tensor(x.data[t], (x,))
+
+        def back(g, a=x, i=t):
+            if a.grad is None:
+                a.grad = np.zeros(a.data.shape)
+            a.grad[i] += g
+
+        row._backward = back
+        rows.append(row)
+    return rows
 
 
 def narrow(x: Tensor, start: int, length: int) -> Tensor:

@@ -47,7 +47,8 @@ def _scheme_for(train_set: list, dev_set: list) -> LabelScheme:
     return LabelScheme.from_entity_types(types)
 
 
-def _dev_provider(config: RunConfig):
+def dev_provider(config: RunConfig):
+    """The vectors to evaluate with: the dev file of a file_backed model, else None (the model's own)."""
     if config.embedding.kind != "file_backed":
         return None
     if config.embedding.dev_path is None:
@@ -67,7 +68,7 @@ def train(config: RunConfig, train_set: list, dev_set: list, atlas: GlyphAtlas,
     scheme = _scheme_for(train_set, dev_set)
     vocab = sorted({ch for s in train_set for ch in s.chars})
     model = FgnModel(config, scheme, vocab, atlas)
-    dev_provider = _dev_provider(config)
+    dev_vectors = dev_provider(config)
 
     params = model.parameters()
     opt = AdamState(params, learning_rate=config.learning_rate)
@@ -80,13 +81,20 @@ def train(config: RunConfig, train_set: list, dev_set: list, atlas: GlyphAtlas,
         order = rng.permutation(len(train_set))
         total = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = [train_set[i] for i in order[start:start + config.batch_size]]
+            picked = order[start:start + config.batch_size]
+            batch = [train_set[i] for i in picked]
             loss = model.loss(batch, training=True, rng=rng)
+            where = "epoch %d, sentence %s" % (epoch, ", ".join(str(int(i)) for i in picked))
+            if not np.isfinite(loss.item()):
+                raise ValueError("non-finite loss %r at %s" % (loss.item(), where))
             loss.backward()
+            for p in params:
+                if not np.isfinite(p.grad).all():
+                    raise ValueError("non-finite gradient in parameter %s at %s" % (p.name, where))
             adam_step(params, opt)
             total += loss.item()
         entry = EpochLog(epoch, total / len(train_set),
-                         *evaluate(dev_set, predict_labels(model, dev_set, dev_provider)))
+                         *evaluate(dev_set, predict_labels(model, dev_set, dev_vectors)))
         history.append(entry)
         if log is not None:
             log(entry.line())

@@ -2,11 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fgn.cli import main
-from fgn.config import FusionConfig, RunConfig, config_to_dict
-from fgn.corpus import write_conll
+from fgn.config import EmbeddingConfig, FusionConfig, RunConfig, config_to_dict
+from fgn.corpus import evaluate, write_conll
+from fgn.embedding import FileBackedEmbedding, write_embedding_file
+from fgn.model import FgnModel
+from fgn.train import predict_labels
 from fgn.synth import (split_corpus, synthetic_atlas, synthetic_corpus,
                        write_atlas_dir)
 
@@ -35,6 +39,59 @@ def workspace(tmp_path_factory):
     assert code == 0
     assert (root / "model.fgn").exists()
     return root
+
+
+@pytest.fixture(scope="module")
+def file_backed_workspace(tmp_path_factory):
+    """A file_backed model trained on the synthetic set, with separate train and dev vector files."""
+    root = tmp_path_factory.mktemp("cli_file_backed")
+    atlas, pools = synthetic_atlas(per_pool=3, filler=3)
+    write_atlas_dir(atlas, root / "glyphs")
+    sentences = synthetic_corpus(pools, n_sentences=8, seed=1, min_len=3, max_len=5)
+    train_set, dev_set = split_corpus(sentences, dev_fraction=0.25)
+    # a training record can never stand in for the dev sentence of the same index
+    assert all(len(t.chars) != len(d.chars) for t, d in zip(train_set, dev_set))
+    write_conll(train_set, root / "train.txt")
+    write_conll(dev_set, root / "dev.txt")
+    rng = np.random.default_rng(3)
+    for name, data in (("train.emb", train_set), ("dev.emb", dev_set)):
+        write_embedding_file(root / name, [rng.normal(size=(len(s.chars), 8)) for s in data])
+
+    config = RunConfig(seed=1, epochs=1, d_char=8, d_hidden=6,
+                       fusion=FusionConfig(k_char=4, s_char=2, k_glyph=32, s_glyph=16),
+                       embedding=EmbeddingConfig(kind="file_backed", path=str(root / "train.emb"),
+                                                 dev_path=str(root / "dev.emb")))
+    (root / "config.json").write_text(json.dumps(config_to_dict(config)), encoding="utf-8")
+    assert main(["train", "--config", str(root / "config.json"),
+                 "--train", str(root / "train.txt"), "--dev", str(root / "dev.txt"),
+                 "--atlas", str(root / "glyphs"), "--out", str(root / "model.fgn")]) == 0
+    return root, dev_set
+
+
+def test_file_backed_eval_and_predict_use_dev_vectors(file_backed_workspace, capsys):
+    root, dev_set = file_backed_workspace
+    capsys.readouterr()
+    model = FgnModel.load(root / "model.fgn")
+    want = predict_labels(model, dev_set, FileBackedEmbedding.from_file(root / "dev.emb"))
+
+    code = main(["eval", "--model", str(root / "model.fgn"), "--data", str(root / "dev.txt")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.strip() == "precision=%.4f recall=%.4f f1=%.4f" % evaluate(dev_set, want)
+
+    code = main(["predict", "--model", str(root / "model.fgn"), "--data", str(root / "dev.txt")])
+    out = capsys.readouterr().out
+    assert code == 0
+    got = [[line.split("\t")[1] for line in block.splitlines() if "\t" in line]
+           for block in out.split("\n\n")]
+    assert got == want
+
+
+def test_file_backed_predict_text_fails(file_backed_workspace, capsys):
+    root, _ = file_backed_workspace
+    code = main(["predict", "--model", str(root / "model.fgn"), "--text", "一丁七"])
+    assert code == 1
+    assert "file_backed" in capsys.readouterr().err
 
 
 def test_train_logs_epochs(workspace, capsys):

@@ -58,6 +58,45 @@ def test_repeated_steps_converge_quadratic(rng):
     assert p.data[0] == pytest.approx(1.0, abs=1e-3)
 
 
+def reference_adam_step(params, state):
+    """Adam written as whole-array expressions, the form adam_step must reproduce bit for bit."""
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for p, m, v in zip(params, state.m, state.v):
+        if p.trainable:
+            g = p.grad
+            m *= state.beta1
+            m += (1.0 - state.beta1) * g
+            v *= state.beta2
+            v += (1.0 - state.beta2) * g * g
+            p.data -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p.grad[...] = 0.0
+
+
+def test_matches_reference_bit_for_bit(rng):
+    # small, multi-block, one row wider than a block, and scalar parameters; one frozen
+    shapes = [(3, 5), (7,), (2, 3, 4), (300, 250), (2, 40000), ()]
+    fast = [make_param(rng, s, name="p%d" % i, trainable=i != 1) for i, s in enumerate(shapes)]
+    ref = [Parameter(p.data.copy(), name=p.name, trainable=p.trainable) for p in fast]
+    fast_state = AdamState(fast, learning_rate=0.01)
+    ref_state = AdamState(ref, learning_rate=0.01)
+    for _ in range(6):
+        for a, b in zip(fast, ref):
+            g = rng.standard_normal(a.shape) * 10.0 ** rng.integers(-4, 4)
+            a.grad[...] = g
+            b.grad[...] = g
+        adam_step(fast, fast_state)
+        reference_adam_step(ref, ref_state)
+        for a, b, ma, mb, va, vb in zip(fast, ref, fast_state.m, ref_state.m,
+                                        fast_state.v, ref_state.v):
+            assert np.array_equal(a.data, b.data)
+            assert np.array_equal(ma, mb)
+            assert np.array_equal(va, vb)
+            assert not a.grad.any()
+
+
 def test_state_length_mismatch(rng):
     p, q = make_param(rng), make_param(rng, name="q")
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from numpy.random import default_rng
 
 from fgn.gradcheck import grad_check
-from fgn.ops import init_lstm_params
+from fgn.ops import dropout, init_lstm_params, lstm_step
 from fgn.tagger import (ENUMERATION_GUARD, MASK_PENALTY, CrfParams,
                         LabelScheme, TaggerParams, bilstm_encode,
                         brute_force_best, brute_force_loglik,
@@ -151,6 +151,67 @@ def test_forward_only_is_causal():
     for t in range(3):
         np.testing.assert_array_equal(alt[t].data, base[t])
     assert not np.array_equal(alt[3].data, base[3])
+
+
+def reference_encode(xs, params, training=False, rng=None):
+    """The per-character encoder: one lstm_step node chain per direction, dropout per row."""
+    def run(seq, cell):
+        h = Tensor(np.zeros(cell.hidden_size))
+        c = Tensor(np.zeros(cell.hidden_size))
+        out = []
+        for x in seq:
+            h, c = lstm_step(x, h, c, cell)
+            out.append(h)
+        return out
+
+    hs = run(xs, params.forward_cell)
+    if params.variant == "bilstm":
+        back = run(list(reversed(xs)), params.backward_cell)
+        hs = [f + b for f, b in zip(hs, reversed(back))]
+    if training and params.dropout_rate > 0.0:
+        hs = [dropout(h, params.dropout_rate, training, rng) for h in hs]
+    return hs
+
+
+def _encode_and_grads(encode, xs, params, crf, y, dropout_seed):
+    rng = default_rng(dropout_seed) if dropout_seed is not None else None
+    leaves = list(xs) + params.parameters() + crf.parameters()
+    for p in leaves:
+        p.grad[...] = 0.0
+    hs = encode(xs, params, training=rng is not None, rng=rng)
+    loss = nll_loss([(hs, y)], crf)
+    loss.backward()
+    return np.stack([h.data for h in hs]), loss.item(), [p.grad.copy() for p in leaves]
+
+
+ENCODER_VARIANTS = ("lstm", "bilstm", "tied")
+
+
+@pytest.mark.parametrize("variant", ENCODER_VARIANTS)
+@pytest.mark.parametrize("tau", [1, 2, 7])
+@pytest.mark.parametrize("dropout_seed", [None, 21])
+def test_fused_encoder_matches_per_step_reference(variant, tau, dropout_seed):
+    rng = default_rng([ENCODER_VARIANTS.index(variant), tau])
+    d_in, d_h = (int(v) for v in rng.integers(1, 12, size=2))
+    if variant == "tied":
+        cell = init_lstm_params(d_in, d_h, rng, "cell")
+        params = TaggerParams(variant="bilstm", forward_cell=cell, backward_cell=cell)
+    else:
+        params = init_tagger_params(variant, d_in, d_h, rng)
+    params.dropout_rate = 0.4
+    for p in params.parameters():
+        p.data[...] = rng.normal(size=p.shape)
+    crf = make_crf(3, d_h, rng)
+    xs = [Parameter(rng.normal(size=d_in), name="x%d" % t) for t in range(tau)]
+    y = [int(v) for v in rng.integers(0, 3, size=tau)]
+
+    h_new, loss_new, grads_new = _encode_and_grads(bilstm_encode, xs, params, crf, y, dropout_seed)
+    h_ref, loss_ref, grads_ref = _encode_and_grads(reference_encode, xs, params, crf, y,
+                                                   dropout_seed)
+    np.testing.assert_allclose(h_new, h_ref, rtol=1e-10, atol=1e-12)
+    assert abs(loss_new - loss_ref) <= 1e-10 * max(1.0, abs(loss_ref))
+    for g_new, g_ref in zip(grads_new, grads_ref):
+        np.testing.assert_allclose(g_new, g_ref, rtol=1e-10, atol=1e-12)
 
 
 def test_bilstm_rejects_empty_sequence():

@@ -9,6 +9,8 @@ import pytest
 from fgn.config import FusionConfig, RunConfig
 from fgn.corpus import TaggedSentence, evaluate
 from fgn.glyphs import GlyphAtlas
+from fgn.model import FgnModel
+from fgn.tensor import Tensor
 from fgn.train import (AblationCell, ablate, format_ablation_table,
                        format_cell, predict_labels, train)
 
@@ -102,6 +104,31 @@ def test_ablate_single_cell():
     assert (cell.cnn, cell.fusion, cell.tagger) == ("cgs", "slice_attention", "none")
     assert cell.error is None
     assert 0.0 <= cell.f1 <= 1.0
+
+
+def test_nan_parameter_stops_training(monkeypatch):
+    class Poisoned(FgnModel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.crf.transitions.data[0, 0] = np.nan
+
+    monkeypatch.setattr(importlib.import_module("fgn.train"), "FgnModel", Poisoned)
+    with pytest.raises(ValueError, match=r"non-finite loss nan at epoch 1, sentence [0-3]$"):
+        train(tiny_config(), TRAIN_SET, DEV_SET, GlyphAtlas(fallback_seed=0))
+
+
+def test_nan_gradient_names_parameter(monkeypatch):
+    class NanGradient(FgnModel):
+        def loss(self, *args, **kwargs):
+            # a node with a finite value and a NaN gradient, as sqrt has at 0
+            p = self.crf.start_scores
+            kink = Tensor(0.0, (p,))
+            kink._backward = lambda g: p.accumulate(np.full(p.shape, np.nan))
+            return super().loss(*args, **kwargs) + kink
+
+    monkeypatch.setattr(importlib.import_module("fgn.train"), "FgnModel", NanGradient)
+    with pytest.raises(ValueError, match=r"gradient in parameter crf/start_scores at epoch 1"):
+        train(tiny_config(), TRAIN_SET, DEV_SET, GlyphAtlas(fallback_seed=0))
 
 
 def test_ablate_grid_order():
