@@ -3,8 +3,8 @@
 Two 3x3x3 convolutions mix each glyph with its neighbors along the sentence
 axis (radius 2 total), then a per-glyph 2D pyramid compresses 50x50 down to a
 2x2 four-quadrant structure with 64 channels; flattening and 1D pooling yield
-one 64-d glyph vector per character. tanh follows every convolution to keep
-values bounded for the downstream outer product.
+a (tau, 64) matrix, one glyph vector per character. tanh follows every
+convolution to keep values bounded for the downstream outer product.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .glyphs import GLYPH_SIZE
 from .ops import conv2d, conv3d, dropout, maxpool2d, pool1d
-from .tensor import Parameter, Tensor, narrow, tanh, uniform_fan_init
+from .tensor import Parameter, Tensor, tanh, uniform_fan_init
 
 CNN_VARIANTS = ("cgs", "cgs_2d", "cgs_avg")
 
@@ -78,8 +78,8 @@ def init_cgs_params(config: CgsCnnConfig, rng: np.random.Generator) -> dict:
 
 
 def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict, training: bool = False,
-                    rng: np.random.Generator | None = None) -> list:
-    """GraphSequence -> one 64-d glyph vector per character."""
+                    rng: np.random.Generator | None = None) -> Tensor:
+    """GraphSequence of tau glyphs -> (tau, 64) glyph vectors, one row per character."""
     if len(graphs) == 0:
         raise ValueError("encode_sequence needs at least one graph")
     for i, g in enumerate(graphs):
@@ -105,5 +105,4 @@ def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict, training: 
     x = pool1d(x, config.pool1d_window, config.pool1d_stride, mode=mode)  # (tau, 64)
     if training and config.dropout_rate > 0.0:
         x = dropout(x, config.dropout_rate, training, rng)
-    dim = config.glyph_dim
-    return [narrow(x, i, 1).reshape((dim,)) for i in range(tau)]
+    return x

@@ -63,13 +63,16 @@ def _build_softmax():
     return (lambda: _dot(softmax(x), r)), [x]
 
 
-def _build_affine():
+def _build_getitem_gather():
     rng = np.random.default_rng(104)
-    w = _p(rng, (3, 4), "w")
-    b = _p(rng, (3,), "b")
-    x = _p(rng, (4,), "x")
-    r = rng.standard_normal(3)
-    return (lambda: _dot(w @ x + b, r)), [w, b, x]
+    x = _p(rng, (4, 6), "x")
+    windows = 2 * np.arange(3)[:, None] + np.arange(2)
+    r1 = rng.standard_normal((4, 3, 2))
+    r2 = rng.standard_normal((3, 6))
+    r3 = rng.standard_normal(4)
+    # strided windows, a row gather with a repeat, and one column
+    return (lambda: _dot(x[..., windows], r1) + _dot(x[np.array([2, 0, 2])], r2)
+            + _dot(x[:, 5], r3)), [x]
 
 
 def _build_dropout():
@@ -115,14 +118,9 @@ def _build_encode_sequence():
     config = CgsCnnConfig(dropout_rate=0.0)
     params = init_cgs_params(config, np.random.default_rng(0))
     graphs = [rng.random((50, 50)) for _ in range(2)]
-    dirs = [rng.standard_normal(64) for _ in range(2)]
-
-    def loss():
-        vecs = encode_sequence(graphs, config, params, training=False)
-        total = _dot(vecs[0], dirs[0])
-        return total + _dot(vecs[1], dirs[1])
-
-    return loss, list(params.values())
+    dirs = rng.standard_normal((2, 64))
+    return (lambda: _dot(encode_sequence(graphs, config, params, training=False), dirs)), \
+        list(params.values())
 
 
 def _build_lstm_step():
@@ -155,20 +153,23 @@ def _build_lstm_sequence(reverse: bool):
     return build
 
 
-def _build_fusion():
-    rng = np.random.default_rng(112)
-    spec = WindowSpec(d_char=8, k_char=4, s_char=2, d_glyph=4, k_glyph=2, s_glyph=1)
-    params = init_fusion_params(8, np.random.default_rng(2))
-    for p in params.parameters():
-        p.data[...] = rng.standard_normal(p.data.shape)
-    c_v = _p(rng, (8,), "c_v")
-    g_v = _p(rng, (4,), "g_v")
-    r = rng.standard_normal(8 + 4 + 8)
+def _build_fusion(seed: int, lead: tuple):
+    """Fusion of one character (lead ()) or of a sentence (lead (tau,)) in one call."""
+    def build():
+        rng = np.random.default_rng(seed)
+        spec = WindowSpec(d_char=8, k_char=4, s_char=2, d_glyph=4, k_glyph=2, s_glyph=1)
+        params = init_fusion_params(8, np.random.default_rng(2))
+        for p in params.parameters():
+            p.data[...] = rng.standard_normal(p.data.shape)
+        c_v = _p(rng, lead + (8,), "c_v")
+        g_v = _p(rng, lead + (4,), "g_v")
+        r = rng.standard_normal(lead + (8 + 4 + 8,))
 
-    def loss():
-        return _dot(fuse_character(c_v, g_v, spec, params, "slice_attention"), r)
+        def loss():
+            return _dot(fuse_character(c_v, g_v, spec, params, "slice_attention"), r)
 
-    return loss, params.parameters() + [c_v, g_v]
+        return loss, params.parameters() + [c_v, g_v]
+    return build
 
 
 def _build_bilstm_crf():
@@ -179,13 +180,13 @@ def _build_bilstm_crf():
     crf = init_crf_params(3, 4, np.random.default_rng(5))
     for p in tg.parameters() + crf.parameters():
         p.data[...] = 0.5 * rng.standard_normal(p.data.shape)
-    xs = [_p(rng, (5,), "x%d" % t) for t in range(3)]
+    x = _p(rng, (3, 5), "x")
     y = [1, 0, 2]
 
     def loss():
-        return nll_loss([(bilstm_encode(xs, tg), y)], crf)
+        return nll_loss([(bilstm_encode(x, tg), y)], crf)
 
-    return loss, tg.parameters() + crf.parameters() + xs
+    return loss, tg.parameters() + crf.parameters() + [x]
 
 
 def _build_crf_passthrough():
@@ -219,7 +220,7 @@ CHECKS = (
     CheckSpec("sigmoid_sum", (), _build_sigmoid, tolerance=1e-6),
     CheckSpec("tanh", (), _build_tanh),
     CheckSpec("softmax", (), _build_softmax),
-    CheckSpec("affine", (), _build_affine),
+    CheckSpec("getitem_gather", (), _build_getitem_gather),
     CheckSpec("dropout_fixed_mask", (), _build_dropout),
     CheckSpec("conv2d", ("cnn",), _build_conv2d),
     CheckSpec("conv3d", ("cnn",), _build_conv3d),
@@ -229,7 +230,8 @@ CHECKS = (
     CheckSpec("lstm_step", ("tagger",), _build_lstm_step),
     CheckSpec("lstm_sequence", ("tagger",), _build_lstm_sequence(False)),
     CheckSpec("lstm_sequence_reverse", ("tagger",), _build_lstm_sequence(True)),
-    CheckSpec("fuse_character_attention", ("fusion",), _build_fusion),
+    CheckSpec("fuse_character_attention", ("fusion",), _build_fusion(112, ())),
+    CheckSpec("fuse_sentence_attention", ("fusion",), _build_fusion(116, (3,))),
     CheckSpec("bilstm_crf_nll", ("tagger",), _build_bilstm_crf),
     CheckSpec("crf_passthrough_masked", ("tagger",), _build_crf_passthrough),
     CheckSpec("full_fgn_loss", ("full",), _build_full_fgn, max_coords=3),

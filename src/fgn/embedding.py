@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, narrow, uniform_fan_init
+from .tensor import Parameter, Tensor, uniform_fan_init
 
 EMBEDDING_MAGIC = b"FGNEMB1"
 
@@ -36,9 +36,9 @@ class LookupTableEmbedding:
     def unk_row(self) -> int:
         return len(self.vocab)
 
-    def embed(self, sentence_index: int, sentence: str) -> list:
-        rows = [self.index.get(ch, self.unk_row) for ch in sentence]
-        return [narrow(self.table, r, 1).reshape((self.dim,)) for r in rows]
+    def embed(self, sentence_index: int, sentence: str) -> Tensor:
+        """(tau, dim) rows of the table, one per character."""
+        return self.table[np.array([self.index.get(ch, self.unk_row) for ch in sentence], dtype=np.int64)]
 
     def parameters(self) -> list:
         return [self.table]
@@ -62,22 +62,19 @@ class FileBackedEmbedding:
             raise ValueError("embedding file %s mixes vector sizes %s" % (path, sorted(dims)))
         return cls(records, dims.pop())
 
-    def embed(self, sentence_index: int, sentence: str) -> list:
+    def embed(self, sentence_index: int, sentence: str) -> Tensor:
+        """The stored (tau, dim) record of the sentence."""
         if not 0 <= sentence_index < len(self.records):
-            raise ValueError("no stored vectors for sentence %d (file holds %d)"
+            raise ValueError("no stored vectors for sentence %d (provider holds %d)"
                              % (sentence_index, len(self.records)))
         rec = self.records[sentence_index]
         if rec.shape[0] != len(sentence):
             raise ValueError("sentence %d has %d characters but its stored record has %d vectors"
                              % (sentence_index, len(sentence), rec.shape[0]))
-        return [Tensor(rec[t]) for t in range(rec.shape[0])]
+        return Tensor(rec)
 
     def parameters(self) -> list:
         return []
-
-
-def embed_sentence(provider, sentence_index: int, sentence: str) -> list:
-    return provider.embed(sentence_index, sentence)
 
 
 def write_embedding_file(path, records: list) -> None:

@@ -3,7 +3,8 @@
 Both vectors are cut by an out-of-sync sliding window: different window sizes
 and strides per stream, constrained so the two streams yield the same number
 of slices. Each slice pair fuses by outer product; slice attention (or a
-pooling ablation) combines the n fused vectors into one.
+pooling ablation) combines the n fused vectors into one. Every operation acts
+on the trailing axes, so one call fuses one character or a whole sentence.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Parameter, Tensor, concat, max_axis0, narrow, sigmoid,
-                     softmax, stack_rows, uniform_fan_init)
+from .tensor import (Parameter, Tensor, concat, max_axis0, sigmoid, softmax,
+                     stack_rows, uniform_fan_init)
 
 FUSION_VARIANTS = ("slice_attention", "avg_pool", "max_pool", "concat")
 
@@ -47,24 +48,6 @@ def validate_window(spec: WindowSpec) -> int:
     return qc + 1
 
 
-def extract_slices(vec: Tensor, k: int, s: int, n: int) -> list:
-    """n windows of width k at stride s over a vector."""
-    d = vec.data.shape[0]
-    if vec.data.ndim != 1:
-        raise ValueError("extract_slices works on vectors, got shape %r" % (vec.shape,))
-    if d - k != s * (n - 1):
-        raise ValueError("cannot cut %d slices of width %d at stride %d from a %d-d vector"
-                         % (n, k, s, d))
-    return [narrow(vec, s * i, k) for i in range(n)]
-
-
-def fuse_pair(c_s: Tensor, g_s: Tensor) -> Tensor:
-    """Outer product of a slice pair, flattened row-major."""
-    kc = c_s.data.shape[0]
-    kg = g_s.data.shape[0]
-    return (c_s.reshape((kc, 1)) * g_s.reshape((1, kg))).reshape((kc * kg,))
-
-
 @dataclass
 class FusionParams:
     score_weight: Parameter   # (D, D) over fused slices, D = k_char*k_glyph
@@ -83,35 +66,32 @@ def init_fusion_params(dim: int, rng: np.random.Generator) -> FusionParams:
     )
 
 
-def _combine(slices: list, weights: Tensor) -> Tensor:
-    return weights @ stack_rows(slices)
-
-
-def slice_attention(slices: list, params: FusionParams) -> tuple:
+def slice_attention(slices, params: FusionParams) -> tuple:
     """Score each fused slice against a sigmoided query; softmax-average them.
 
-    Returns (fusion vector, attention weights as a plain array).
+    slices: a list of n D-vectors, or a (..., n, D) Tensor. Returns (fusion
+    vector (..., D), attention weights (..., n) as a plain array).
     """
     dim = params.score_bias.data.shape[0]
-    for i, s in enumerate(slices):
-        if s.data.shape != (dim,):
-            raise ValueError("slice %d has shape %r, attention params expect (%d,)"
-                             % (i, s.shape, dim))
-    m = stack_rows(slices)                                    # (n, D)
+    m = stack_rows(slices)                                    # (..., n, D)
+    if m.data.ndim < 2 or m.data.shape[-1] != dim:
+        raise ValueError("slices have shape %r, attention params expect (..., n, %d)" % (m.shape, dim))
+    n = m.data.shape[-2]
     gates = sigmoid(m @ params.score_weight.transpose((1, 0)) + params.score_bias)
-    scores = gates @ sigmoid(params.query)                    # (n,)
-    weights = softmax(scores)
-    fused = weights @ m
-    return fused, weights.data.copy()
+    weights = softmax(gates @ sigmoid(params.query))          # (..., n)
+    fused = weights.reshape(weights.shape[:-1] + (1, n)) @ m  # (..., 1, D)
+    return fused.reshape(m.shape[:-2] + (dim,)), weights.data.copy()
 
 
 def fuse_character(c_v: Tensor, g_v: Tensor, spec: WindowSpec, params: FusionParams | None,
                    variant: str = "slice_attention", include_parts: bool = True) -> Tensor:
-    """Fused per-character representation.
+    """Fused representation of one character, or of every character of a sentence at once.
 
-    include_parts appends the raw character and glyph vectors around the
-    fusion vector; with it off the output is the fusion vector alone. concat
-    skips fusion entirely and returns [c_v, g_v].
+    c_v (..., d_char) and g_v (..., d_glyph) share their leading axes: none for
+    one character, (tau,) for a sentence; the output keeps them. include_parts
+    appends the raw character and glyph vectors around the fusion vector; with
+    it off the output is the fusion vector alone. concat skips fusion entirely
+    and returns [c_v, g_v].
     """
     if variant not in FUSION_VARIANTS:
         raise ValueError("fusion variant must be one of %s, got %r"
@@ -119,18 +99,24 @@ def fuse_character(c_v: Tensor, g_v: Tensor, spec: WindowSpec, params: FusionPar
     if variant == "concat":
         return concat([c_v, g_v])
     n = validate_window(spec)
-    c_slices = extract_slices(c_v, spec.k_char, spec.s_char, n)
-    g_slices = extract_slices(g_v, spec.k_glyph, spec.s_glyph, n)
-    fused_slices = [fuse_pair(c, g) for c, g in zip(c_slices, g_slices)]
+    if c_v.shape[-1] != spec.d_char or g_v.shape[-1] != spec.d_glyph:
+        raise ValueError("vectors of width %d (character) and %d (glyph) do not match the window spec's %d and %d"
+                         % (c_v.shape[-1], g_v.shape[-1], spec.d_char, spec.d_glyph))
+    windows = np.arange(n)[:, None]
+    c_s = c_v[..., spec.s_char * windows + np.arange(spec.k_char)]     # (..., n, k_char)
+    g_s = g_v[..., spec.s_glyph * windows + np.arange(spec.k_glyph)]   # (..., n, k_glyph)
+    lead = c_s.shape[:-1]                                               # (..., n)
+    # outer product of each slice pair, flattened row-major
+    m = (c_s.reshape(lead + (spec.k_char, 1)) * g_s.reshape(lead + (1, spec.k_glyph))
+         ).reshape(lead + (spec.k_char * spec.k_glyph,))                # (..., n, D)
     if variant == "slice_attention":
         if params is None:
             raise ValueError("slice_attention needs FusionParams")
-        f_v, _ = slice_attention(fused_slices, params)
+        f_v, _ = slice_attention(m, params)
     elif variant == "avg_pool":
-        n_slices = len(fused_slices)
-        f_v = _combine(fused_slices, Tensor(np.ones(n_slices) / n_slices))
+        f_v = Tensor(np.ones(n) / n) @ m
     else:
-        f_v = max_axis0(stack_rows(fused_slices))
+        f_v = max_axis0(m)
     if include_parts:
         return concat([c_v, g_v, f_v])
     return f_v

@@ -3,7 +3,8 @@
 A model file carries everything needed to run stand-alone: parameters, the
 config, the label scheme, the character vocabulary, and the glyph atlas, all
 as FGNMDL1 records. Loading rebuilds the model at the stored seed and then
-overwrites every parameter, so a save/load round trip is bit-exact.
+overwrites every parameter, so a save/load round trip is bit-exact. A
+sentence runs through the network as one (tau, d) matrix per stage.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from .tagger import (LabelScheme, bilstm_encode, init_crf_params,
 
 
 class FgnModel:
-    def __init__(self, config: RunConfig, scheme: LabelScheme, vocab, atlas: GlyphAtlas):
+    def __init__(self, config: RunConfig, scheme: LabelScheme, vocab, atlas: GlyphAtlas,
+                 provider=None):
+        """provider replaces the vectors of `embedding.path` for a file_backed model."""
         self.config = config
         self.scheme = scheme
         self.vocab = tuple(vocab)
@@ -34,6 +37,8 @@ class FgnModel:
         if config.embedding.kind == "lookup_table":
             self.provider = LookupTableEmbedding(self.vocab, config.d_char, rng,
                                                  frozen=bool(config.embedding.frozen))
+        elif provider is not None:
+            self.provider = provider
         else:
             if config.embedding.path is None:
                 raise ValueError("file_backed embeddings need embedding.path in the config")
@@ -61,17 +66,16 @@ class FgnModel:
         return params
 
     def hidden_states(self, sentence: str, sentence_index: int = 0, training: bool = False,
-                      rng: np.random.Generator | None = None, provider=None) -> list:
+                      rng: np.random.Generator | None = None, provider=None):
+        """The (tau, d_h) hidden states the CRF scores."""
         provider = provider if provider is not None else self.provider
         char_vecs = provider.embed(sentence_index, sentence)
         graphs = sentence_to_graphs(self.atlas, sentence)
         glyph_vecs = encode_sequence(graphs, self.config.cnn, self.cnn_params, training, rng)
-        spec = self.config.window_spec()
-        xs = [fuse_character(c, g, spec, self.fusion_params,
-                             variant=self.config.fusion.variant,
-                             include_parts=self.config.fusion.include_parts)
-              for c, g in zip(char_vecs, glyph_vecs)]
-        return bilstm_encode(xs, self.tagger_params, training, rng)
+        x = fuse_character(char_vecs, glyph_vecs, self.config.window_spec(), self.fusion_params,
+                           variant=self.config.fusion.variant,
+                           include_parts=self.config.fusion.include_parts)
+        return bilstm_encode(x, self.tagger_params, training, rng)
 
     def loss(self, sentences: list, training: bool = True,
              rng: np.random.Generator | None = None, provider=None):
@@ -123,7 +127,12 @@ class FgnModel:
         for name, arr in records.items():
             if name.startswith("atlas/U+"):
                 atlas.add(int(name[len("atlas/U+"):], 16), arr)
-        model = cls(config, scheme, meta["vocab"], atlas)
+        # a loaded file_backed model holds no training vectors: it embeds through the
+        # provider given to decode, e.g. the vectors of embedding.dev_path
+        no_vectors = None
+        if config.embedding.kind == "file_backed":
+            no_vectors = FileBackedEmbedding([], config.d_char)
+        model = cls(config, scheme, meta["vocab"], atlas, no_vectors)
         for p in model.parameters():
             key = "param/" + p.name
             if key not in records:

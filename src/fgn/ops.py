@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import (Parameter, Tensor, narrow, sigmoid, sigmoid_array, tanh,
-                     uniform_fan_init)
+from .tensor import Parameter, Tensor, sigmoid, sigmoid_array, tanh, uniform_fan_init
 
 
 def _windows2d(xp: np.ndarray, k: int) -> np.ndarray:
@@ -200,11 +199,6 @@ def pool1d(x: Tensor, window: int, stride: int, mode: str = "max") -> Tensor:
     return out
 
 
-def affine(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
-    """weight @ x + bias for a vector x."""
-    return weight @ x + bias
-
-
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout; identity when not training or rate is 0."""
     if not 0.0 <= rate < 1.0:
@@ -247,10 +241,10 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmCellParams)
     """One LSTM cell update; returns (h, c). The per-step reference for lstm_sequence."""
     hs = params.hidden_size
     z = params.input_weight @ x + params.hidden_weight @ h_prev + params.bias
-    i = sigmoid(narrow(z, 0, hs))
-    f = sigmoid(narrow(z, hs, hs))
-    g = tanh(narrow(z, 2 * hs, hs))
-    o = sigmoid(narrow(z, 3 * hs, hs))
+    i = sigmoid(z[:hs])
+    f = sigmoid(z[hs:2 * hs])
+    g = tanh(z[2 * hs:3 * hs])
+    o = sigmoid(z[3 * hs:])
     c = f * c_prev + i * g
     h = o * tanh(c)
     return h, c

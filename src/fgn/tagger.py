@@ -4,7 +4,8 @@ The two LSTM directions are combined by elementwise sum, so the hidden size
 stays d_h. The CRF scores a path as emission + transition terms plus a
 learned start score for the first label; the partition function runs in log
 space. Brute-force enumeration twins of the CRF functions serve as oracles
-for small instances.
+for small instances. A sentence's hidden states are one (tau, d_h) matrix;
+the CRF functions also take a list of tau row vectors.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .ops import LstmCellParams, dropout, init_lstm_params, lstm_sequence
-from .tensor import (Parameter, Tensor, logsumexp, narrow, stack_rows, take,
-                     uniform_fan_init, unstack_rows)
+from .tensor import Parameter, Tensor, logsumexp, stack_rows, uniform_fan_init
 
 TAGGER_VARIANTS = ("bilstm", "lstm", "none")
 
@@ -130,31 +130,21 @@ def init_tagger_params(variant: str, d_in: int, d_hidden: int, rng: np.random.Ge
                         dropout_rate=dropout_rate)
 
 
-def bilstm_encode(xs: list, params: TaggerParams, training: bool = False,
-                  rng: np.random.Generator | None = None) -> list:
-    """Hidden sequence per variant: both directions summed, forward only, or pass-through.
-
-    The characters run through each direction as one (tau, D) matrix; the
-    result is split back into one hidden-state row per character.
-    """
-    if len(xs) == 0:
+def bilstm_encode(x: Tensor, params: TaggerParams, training: bool = False,
+                  rng: np.random.Generator | None = None) -> Tensor:
+    """(tau, D) inputs -> (tau, d_h) hidden states: both directions summed, forward only, or pass-through."""
+    if len(x) == 0:
         raise ValueError("bilstm_encode needs a non-empty input sequence")
     if params.variant == "none":
-        return list(xs)
-    x = stack_rows(xs)
+        return x
     h = lstm_sequence(x, params.forward_cell)
     if params.variant == "bilstm":
         h = h + lstm_sequence(x, params.backward_cell, reverse=True)
     # one (tau, d_h) mask draws the same rng stream as tau per-row draws
-    h = dropout(h, params.dropout_rate, training, rng)
-    return unstack_rows(h)
+    return dropout(h, params.dropout_rate, training, rng)
 
 
 # ---- CRF scoring ----
-
-
-def _emission_matrix(hs: list, crf: CrfParams) -> Tensor:
-    return stack_rows(hs) @ crf.emission_weight.transpose((1, 0))
 
 
 def _effective_scores(crf: CrfParams, scheme: LabelScheme | None):
@@ -175,24 +165,19 @@ def _check_labels(y, label_count: int, tau: int) -> list:
     return y
 
 
-def crf_log_likelihood(hs: list, y, crf: CrfParams, scheme: LabelScheme | None = None) -> Tensor:
-    """log P(y | sentence) under the linear-chain CRF."""
-    tau = len(hs)
+def crf_log_likelihood(hs, y, crf: CrfParams, scheme: LabelScheme | None = None) -> Tensor:
+    """log P(y | sentence) under the linear-chain CRF; hs is (tau, d_h) or a list of tau rows."""
+    h = stack_rows(hs)
+    tau = len(h)
     label_count = crf.label_count
-    y = _check_labels(y, label_count, tau)
-    emissions = _emission_matrix(hs, crf)
+    y = np.array(_check_labels(y, label_count, tau), dtype=np.int64)
+    emissions = h @ crf.emission_weight.transpose((1, 0))      # (tau, L)
     trans, start = _effective_scores(crf, scheme)
 
-    flat_emit = np.arange(tau) * label_count + np.asarray(y)
-    score = take(emissions, flat_emit).sum() + take(start, np.asarray(y[:1])).sum()
-    if tau > 1:
-        pair_idx = np.asarray(y[:-1]) * label_count + np.asarray(y[1:])
-        score = score + take(trans, pair_idx).sum()
-
-    alpha = start + narrow(emissions, 0, 1).reshape((label_count,))
+    score = emissions[np.arange(tau), y].sum() + start[y[0]] + trans[y[:-1], y[1:]].sum()
+    alpha = start + emissions[0]
     for t in range(1, tau):
-        row = narrow(emissions, t, 1).reshape((label_count,))
-        alpha = logsumexp(alpha.reshape((label_count, 1)) + trans + row, axis=0)
+        alpha = logsumexp(alpha.reshape((label_count, 1)) + trans + emissions[t], axis=0)
     log_z = logsumexp(alpha, axis=0)
     return score - log_z
 
@@ -208,9 +193,8 @@ def nll_loss(batch: list, crf: CrfParams, scheme: LabelScheme | None = None) -> 
     return -total
 
 
-def _score_table(hs: list, crf: CrfParams, scheme: LabelScheme | None):
-    h = np.stack([t.data for t in hs])
-    emissions = h @ crf.emission_weight.data.T
+def _score_table(hs, crf: CrfParams, scheme: LabelScheme | None):
+    emissions = stack_rows(hs).data @ crf.emission_weight.data.T
     trans = crf.transitions.data
     start = crf.start_scores.data
     if scheme is not None:
@@ -220,7 +204,7 @@ def _score_table(hs: list, crf: CrfParams, scheme: LabelScheme | None):
     return emissions, trans, start
 
 
-def viterbi_decode(hs: list, crf: CrfParams, scheme: LabelScheme | None = None) -> list:
+def viterbi_decode(hs, crf: CrfParams, scheme: LabelScheme | None = None) -> list:
     """Highest-scoring label sequence; ties break to the lowest label index."""
     emissions, trans, start = _score_table(hs, crf, scheme)
     tau, label_count = emissions.shape
@@ -256,7 +240,7 @@ def _guard(label_count: int, tau: int) -> None:
                          % (label_count, tau, ENUMERATION_GUARD))
 
 
-def brute_force_loglik(hs: list, y, crf: CrfParams, scheme: LabelScheme | None = None) -> float:
+def brute_force_loglik(hs, y, crf: CrfParams, scheme: LabelScheme | None = None) -> float:
     emissions, trans, start = _score_table(hs, crf, scheme)
     tau, label_count = emissions.shape
     _guard(label_count, tau)
@@ -269,7 +253,7 @@ def brute_force_loglik(hs: list, y, crf: CrfParams, scheme: LabelScheme | None =
     return _path_score(emissions, trans, start, y) - log_z
 
 
-def brute_force_best(hs: list, crf: CrfParams, scheme: LabelScheme | None = None) -> list:
+def brute_force_best(hs, crf: CrfParams, scheme: LabelScheme | None = None) -> list:
     emissions, trans, start = _score_table(hs, crf, scheme)
     tau, label_count = emissions.shape
     _guard(label_count, tau)

@@ -123,29 +123,50 @@ class Tensor:
         return self * (1.0 / float(other))
 
     def __matmul__(self, other):
+        """numpy matmul: a vector operand is a row (left) or column (right); leading axes broadcast."""
         if not isinstance(other, Tensor):
             other = Tensor(other)
         a, b = self.data, other.data
-        if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-            raise ValueError("matmul supports 1-d and 2-d operands, got %r @ %r" % (a.shape, b.shape))
-        if a.shape[-1] != b.shape[0]:
+        if a.ndim == 0 or b.ndim == 0:
+            raise ValueError("matmul needs operands of at least one axis, got %r @ %r" % (a.shape, b.shape))
+        if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
             raise ValueError("matmul shape mismatch: %r @ %r" % (a.shape, b.shape))
-        out = Tensor(a @ b, (self, other))
+        # a right operand shared by every leading index: one GEMM over all of them
+        out_d = (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[1:]) if b.ndim <= 2 else a @ b
+        out = Tensor(out_d, (self, other))
 
         def back(g, x=self, y=other):
-            xd, yd = x.data, y.data
-            if xd.ndim == 2 and yd.ndim == 2:
-                x.accumulate(g @ yd.T)
-                y.accumulate(xd.T @ g)
-            elif xd.ndim == 2 and yd.ndim == 1:
-                x.accumulate(np.outer(g, yd))
-                y.accumulate(xd.T @ g)
-            elif xd.ndim == 1 and yd.ndim == 2:
-                x.accumulate(yd @ g)
-                y.accumulate(np.outer(xd, g))
+            xd = x.data[None] if x.data.ndim == 1 else x.data        # (..., n, k)
+            yd = y.data[:, None] if y.data.ndim == 1 else y.data     # (..., k, m)
+            if y.data.ndim == 1:
+                g = g[..., None]
+            if x.data.ndim == 1:
+                g = np.expand_dims(g, -2)                            # (..., n, m)
+            if yd.ndim == 2:
+                g2 = g.reshape(-1, g.shape[-1])
+                gx = g2 @ yd.T
+                gy = xd.reshape(-1, xd.shape[-1]).T @ g2
             else:
-                x.accumulate(g * yd)
-                y.accumulate(g * xd)
+                gx = _unbroadcast(g @ np.swapaxes(yd, -1, -2), xd.shape)
+                gy = _unbroadcast(np.swapaxes(xd, -1, -2) @ g, yd.shape)
+            x.accumulate(gx.reshape(x.shape))
+            y.accumulate(gy.reshape(y.shape))
+
+        out._backward = back
+        return out
+
+    def __len__(self):
+        return len(self.data)
+
+    def __getitem__(self, index):
+        """numpy basic and integer-array indexing; returns a copy. Repeated indices accumulate gradient."""
+        data = self.data[index]
+        out = Tensor(data.copy() if np.may_share_memory(data, self.data) else data, (self,))
+
+        def back(g, a=self, ix=index):
+            if a.grad is None:
+                a.grad = np.zeros(a.data.shape)
+            np.add.at(a.grad, ix, g)
 
         out._backward = back
         return out
@@ -226,15 +247,13 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Softmax over a 1-d tensor."""
-    if x.data.ndim != 1:
-        raise ValueError("softmax expects a vector, got shape %r" % (x.shape,))
-    e = np.exp(x.data - x.data.max())
-    p = e / e.sum()
+    """Softmax over the last axis."""
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(p, (x,))
 
     def back(g, a=x, pv=p):
-        a.accumulate(pv * (g - float(g @ pv)))
+        a.accumulate(pv * (g - (g * pv).sum(axis=-1, keepdims=True)))
 
     out._backward = back
     return out
@@ -255,25 +274,24 @@ def logsumexp(x: Tensor, axis: int) -> Tensor:
 
 
 def concat(parts: list) -> Tensor:
-    """Concatenate 1-d tensors end to end."""
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ValueError("concat expects vectors, got shape %r" % (p.shape,))
-    out = Tensor(np.concatenate([p.data for p in parts]), tuple(parts))
-    sizes = [p.data.shape[0] for p in parts]
+    """Concatenate along the last axis; the leading axes must agree."""
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-1), tuple(parts))
 
-    def back(g, ps=tuple(parts), sz=tuple(sizes)):
+    def back(g, ps=tuple(parts)):
         at = 0
-        for p, s in zip(ps, sz):
-            p.accumulate(g[at:at + s])
+        for p in ps:
+            s = p.data.shape[-1]
+            p.accumulate(g[..., at:at + s])
             at += s
 
     out._backward = back
     return out
 
 
-def stack_rows(rows: list) -> Tensor:
-    """Stack equal-length vectors into a matrix, one per row."""
+def stack_rows(rows) -> Tensor:
+    """Stack equal-length vectors into a matrix, one per row; a Tensor passes through unchanged."""
+    if isinstance(rows, Tensor):
+        return rows
     out = Tensor(np.stack([r.data for r in rows]), tuple(rows))
 
     def back(g, rs=tuple(rows)):
@@ -284,65 +302,19 @@ def stack_rows(rows: list) -> Tensor:
     return out
 
 
-def unstack_rows(x: Tensor) -> list:
-    """Split a matrix into its row vectors; the inverse of stack_rows."""
-    if x.data.ndim != 2:
-        raise ValueError("unstack_rows expects a matrix, got shape %r" % (x.shape,))
-    rows = []
-    for t in range(x.data.shape[0]):
-        row = Tensor(x.data[t], (x,))
-
-        def back(g, a=x, i=t):
-            if a.grad is None:
-                a.grad = np.zeros(a.data.shape)
-            a.grad[i] += g
-
-        row._backward = back
-        rows.append(row)
-    return rows
-
-
-def narrow(x: Tensor, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along axis 0."""
-    if start < 0 or start + length > x.data.shape[0]:
-        raise ValueError("narrow [%d, %d) out of range for axis of size %d"
-                         % (start, start + length, x.data.shape[0]))
-    out = Tensor(x.data[start:start + length].copy(), (x,))
-
-    def back(g, a=x, s=start, n=length):
-        if a.grad is None:
-            a.grad = np.zeros(a.data.shape)
-        a.grad[s:s + n] += g
-
-    out._backward = back
-    return out
-
-
-def take(x: Tensor, index) -> Tensor:
-    """Gather from the flattened tensor; output has the index's shape."""
-    idx = np.asarray(index, dtype=np.int64)
-    out = Tensor(np.ascontiguousarray(x.data).reshape(-1)[idx], (x,))
-
-    def back(g, a=x, ix=idx):
-        gx = np.zeros(a.data.size)
-        np.add.at(gx, ix.reshape(-1), np.ascontiguousarray(g).reshape(-1))
-        a.accumulate(gx.reshape(a.data.shape))
-
-    out._backward = back
-    return out
-
-
 def max_axis0(x: Tensor) -> Tensor:
-    """Column-wise max of a matrix; ties route the gradient to the first row."""
-    if x.data.ndim != 2:
-        raise ValueError("max_axis0 expects a matrix, got shape %r" % (x.shape,))
-    am = np.argmax(x.data, axis=0)
-    cols = np.arange(x.data.shape[1])
-    out = Tensor(x.data[am, cols], (x,))
+    """Max over axis -2, down the rows of each trailing (n, D) matrix.
 
-    def back(g, a=x, rows=am, cs=cols):
+    Ties route the gradient to the first row.
+    """
+    if x.data.ndim < 2:
+        raise ValueError("max_axis0 expects a matrix or a stack of them, got shape %r" % (x.shape,))
+    am = np.expand_dims(np.argmax(x.data, axis=-2), -2)
+    out = Tensor(np.take_along_axis(x.data, am, axis=-2)[..., 0, :], (x,))
+
+    def back(g, a=x, rows=am):
         gx = np.zeros(a.data.shape)
-        np.add.at(gx, (rows, cs), g)
+        np.put_along_axis(gx, rows, np.expand_dims(g, -2), axis=-2)
         a.accumulate(gx)
 
     out._backward = back

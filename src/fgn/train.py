@@ -53,7 +53,11 @@ def dev_provider(config: RunConfig):
         return None
     if config.embedding.dev_path is None:
         raise ValueError("file_backed embeddings need embedding.dev_path to evaluate the dev set")
-    return FileBackedEmbedding.from_file(config.embedding.dev_path)
+    provider = FileBackedEmbedding.from_file(config.embedding.dev_path)
+    if provider.dim != config.d_char:
+        raise ValueError("dev embedding file %s holds %d-d vectors but the config expects d_char=%d"
+                         % (config.embedding.dev_path, provider.dim, config.d_char))
+    return provider
 
 
 def predict_labels(model: FgnModel, sentences: list, provider=None) -> list:

@@ -94,6 +94,39 @@ def test_file_backed_predict_text_fails(file_backed_workspace, capsys):
     assert "file_backed" in capsys.readouterr().err
 
 
+def test_file_backed_eval_needs_no_training_vectors(file_backed_workspace, capsys):
+    root, _ = file_backed_workspace
+    args = ["eval", "--model", str(root / "model.fgn"), "--data", str(root / "dev.txt")]
+    capsys.readouterr()
+    assert main(args) == 0
+    before = capsys.readouterr().out
+    (root / "train.emb").rename(root / "train.emb.away")
+    try:
+        code = main(args)
+        captured = capsys.readouterr()
+    finally:
+        (root / "train.emb.away").rename(root / "train.emb")
+    assert code == 0, captured.err
+    assert captured.out == before
+
+
+@pytest.mark.parametrize("width", [6, 10])
+def test_file_backed_rejects_dev_vectors_of_the_wrong_width(file_backed_workspace, capsys, width):
+    root, dev_set = file_backed_workspace
+    rng = np.random.default_rng(4)
+    (root / "dev.emb").rename(root / "dev.emb.away")
+    try:
+        write_embedding_file(root / "dev.emb", [rng.normal(size=(len(s.chars), width)) for s in dev_set])
+        capsys.readouterr()
+        for command in ("eval", "predict"):
+            code = main([command, "--model", str(root / "model.fgn"), "--data", str(root / "dev.txt")])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert "%d-d vectors" % width in captured.err and "d_char=8" in captured.err
+    finally:
+        (root / "dev.emb.away").replace(root / "dev.emb")
+
+
 def test_train_logs_epochs(workspace, capsys):
     code = main(["train",
                  "--config", str(workspace / "config.json"),

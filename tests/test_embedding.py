@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fgn.embedding import (FileBackedEmbedding, LookupTableEmbedding,
-                           embed_sentence, read_embedding_file,
-                           write_embedding_file)
+                           read_embedding_file, write_embedding_file)
 from fgn.optim import AdamState, adam_step
 
 
@@ -66,7 +65,7 @@ def test_file_backed_embed(tmp_path, rng):
     write_embedding_file(path, records)
     provider = FileBackedEmbedding.from_file(path)
     assert provider.dim == 4 and provider.frozen
-    vecs = embed_sentence(provider, 0, "我爱")
+    vecs = provider.embed(0, "我爱")
     assert len(vecs) == 2
     assert np.array_equal(vecs[1].data, records[0][1].astype(np.float64))
 

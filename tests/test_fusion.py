@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fgn.fusion import (FusionParams, WindowSpec, extract_slices, fuse_character,
-                        fuse_pair, init_fusion_params, slice_attention,
-                        validate_window)
+from fgn.fusion import (FusionParams, WindowSpec, fuse_character,
+                        init_fusion_params, slice_attention, validate_window)
 from fgn.gradcheck import grad_check
 from fgn.tensor import Parameter, Tensor, sigmoid
 
@@ -56,34 +55,60 @@ def test_validate_window_accepts_all_constructed_specs(n, kc, sc, kg, sg):
     assert validate_window(s) == n
 
 
+def char_windows(c, w):
+    """The character windows of one vector. With glyph windows of width 1 at
+    stride 1, the one-hot glyph vector e_j makes window j the only nonzero
+    fused slice, so avg_pool returns it divided by n."""
+    n = validate_window(w)
+    return [n * fuse_character(Tensor(c), Tensor(np.eye(n)[j]), w, None, variant="avg_pool",
+                               include_parts=False).data for j in range(n)]
+
+
 def test_extract_slices_examples():
-    v = Tensor(np.array([10.0, 20.0, 30.0, 40.0]))
-    out = [s.data.tolist() for s in extract_slices(v, 2, 2, 2)]
-    assert out == [[10.0, 20.0], [30.0, 40.0]]
-    v5 = Tensor(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-    over = [s.data.tolist() for s in extract_slices(v5, 3, 1, 3)]
-    assert over == [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0], [3.0, 4.0, 5.0]]
-    whole = extract_slices(v, 4, 9, 1)
-    assert len(whole) == 1 and np.array_equal(whole[0].data, v.data)
+    v = np.array([10.0, 20.0, 30.0, 40.0])
+    np.testing.assert_allclose(char_windows(v, spec(4, 2, 2, 2, 1, 1)), [[10.0, 20.0], [30.0, 40.0]])
+    v5 = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    np.testing.assert_allclose(char_windows(v5, spec(5, 3, 1, 3, 1, 1)),
+                               [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0], [3.0, 4.0, 5.0]])
+    whole = char_windows(v, spec(4, 4, 9, 1, 1, 1))
+    assert len(whole) == 1 and np.array_equal(whole[0], v)
 
 
 def test_extract_slices_rejects_bad_count():
-    with pytest.raises(ValueError):
-        extract_slices(Tensor(np.zeros(4)), 2, 2, 3)
+    # the spec frames 3 slices of width 2 on a 6-d character vector; a 4-d or
+    # 8-d vector cannot give them, nor can a glyph vector of the wrong width
+    w = spec(6, 2, 2, 3, 1, 1)
+    for c_width, g_width in ((4, 3), (8, 3), (6, 2), (6, 4)):
+        with pytest.raises(ValueError, match="window spec"):
+            fuse_character(Tensor(np.zeros(c_width)), Tensor(np.zeros(g_width)), w, None,
+                           variant="avg_pool")
+        with pytest.raises(ValueError, match="window spec"):
+            fuse_character(Tensor(np.zeros((3, c_width))), Tensor(np.zeros((3, g_width))), w, None,
+                           variant="avg_pool")
 
 
 def test_fuse_pair_arithmetic():
-    got = fuse_pair(Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, 4.0])))
+    w = spec(2, 2, 1, 2, 2, 1)
+    got = fuse_character(Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, 4.0])), w, None,
+                         variant="avg_pool", include_parts=False)
     assert got.data.tolist() == [3.0, 4.0, 6.0, 8.0]
-    zero = fuse_pair(Tensor(np.array([1.0, 2.0])), Tensor(np.zeros(2)))
+    zero = fuse_character(Tensor(np.array([1.0, 2.0])), Tensor(np.zeros(2)), w, None,
+                          variant="avg_pool", include_parts=False)
     assert not zero.data.any()
 
 
 def test_fuse_pair_bilinear(rng):
+    # one slice per stream: the fusion vector is the fused pair itself
     c = rng.standard_normal(3)
     g = rng.standard_normal(2)
-    scaled = fuse_pair(Tensor(2.5 * c), Tensor(g)).data
-    assert np.allclose(scaled, 2.5 * fuse_pair(Tensor(c), Tensor(g)).data, atol=1e-12)
+    w = spec(3, 3, 1, 2, 2, 1)
+
+    def pair(cv, gv):
+        return fuse_character(Tensor(cv), Tensor(gv), w, None, variant="avg_pool", include_parts=False).data
+
+    scaled = pair(2.5 * c, g)
+    assert np.allclose(scaled, 2.5 * pair(c, g), atol=1e-12)
+    assert np.allclose(pair(c, 2.5 * g), scaled, atol=1e-12)
 
 
 def test_slice_attention_zero_params_is_mean(rng):
@@ -117,6 +142,8 @@ def test_slice_attention_weights_and_hull(rng):
 def test_slice_attention_shape_mismatch(rng):
     with pytest.raises(ValueError):
         slice_attention([Tensor(np.zeros(3))], init_fusion_params(4, rng))
+    with pytest.raises(ValueError):
+        slice_attention(Tensor(np.zeros(4)), init_fusion_params(4, rng))
 
 
 def test_fuse_character_concat(rng):
@@ -174,3 +201,19 @@ def test_fusion_gradients(rng):
         return (out * Tensor(d)).sum()
 
     assert grad_check(loss, [c, g] + params.parameters()).passed
+
+
+@pytest.mark.parametrize("variant", ["slice_attention", "avg_pool", "max_pool"])
+def test_sentence_fusion_gradients(rng, variant):
+    w = spec(8, 4, 2, 4, 2, 1)
+    c = Parameter(rng.standard_normal((3, 8)), name="c")
+    g = Parameter(rng.standard_normal((3, 4)), name="g")
+    params = init_fusion_params(8, rng)
+    params.query.data[:] = rng.standard_normal(8)
+    d = rng.standard_normal((3, 20))
+
+    def loss():
+        return (fuse_character(c, g, w, params, variant=variant) * Tensor(d)).sum()
+
+    leaves = [c, g] + (params.parameters() if variant == "slice_attention" else [])
+    assert grad_check(loss, leaves).passed

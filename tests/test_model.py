@@ -1,16 +1,21 @@
 """End-to-end model assembly, decoding, and FGNMDL1 persistence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fgn.cgs_cnn import CNN_VARIANTS, CgsCnnConfig, encode_sequence
 from fgn.config import EmbeddingConfig, FusionConfig, RunConfig
 from fgn.config import TaggerConfig
 from fgn.corpus import TaggedSentence
 from fgn.embedding import write_embedding_file
-from fgn.glyphs import GlyphAtlas
+from fgn.fusion import FUSION_VARIANTS, fuse_character, validate_window
+from fgn.glyphs import GlyphAtlas, sentence_to_graphs
 from fgn.model import FgnModel
 from fgn.serialize import read_records, write_records
-from fgn.tagger import LabelScheme
+from fgn.tagger import TAGGER_VARIANTS, LabelScheme, bilstm_encode, nll_loss
+from fgn.tensor import Tensor, concat, max_axis0, sigmoid, softmax, stack_rows
 
 VOCAB = "我爱北京天安门"
 
@@ -191,3 +196,121 @@ def test_load_rejects_shape_mismatch(tmp_path, model):
     write_records(path, records)
     with pytest.raises(OSError, match="crf/start_scores"):
         FgnModel.load(path)
+
+
+# ---- one matrix per sentence against the per-character pipeline ----
+
+
+def reference_fuse(c_v, g_v, spec, params, variant, include_parts):
+    """Per-character fusion: narrowed slices, one outer product per slice pair, stacked rows."""
+    if variant == "concat":
+        return concat([c_v, g_v])
+    n = validate_window(spec)
+    kc, kg = spec.k_char, spec.k_glyph
+    c_slices = [c_v[spec.s_char * i:spec.s_char * i + kc] for i in range(n)]
+    g_slices = [g_v[spec.s_glyph * i:spec.s_glyph * i + kg] for i in range(n)]
+    m = stack_rows([(c.reshape((kc, 1)) * g.reshape((1, kg))).reshape((kc * kg,))
+                    for c, g in zip(c_slices, g_slices)])
+    if variant == "slice_attention":
+        gates = sigmoid(m @ params.score_weight.transpose((1, 0)) + params.score_bias)
+        f_v = softmax(gates @ sigmoid(params.query)) @ m
+    elif variant == "avg_pool":
+        f_v = Tensor(np.ones(n) / n) @ m
+    else:
+        f_v = max_axis0(m)
+    return concat([c_v, g_v, f_v]) if include_parts else f_v
+
+
+def reference_hidden_rows(model, sentence, training, rng):
+    """The sentence as a list of per-character rows at every stage, stacked only for the LSTM."""
+    table = model.provider.table
+    char_rows = [table[model.provider.index.get(ch, model.provider.unk_row)] for ch in sentence]
+    glyphs = encode_sequence(sentence_to_graphs(model.atlas, sentence), model.config.cnn,
+                             model.cnn_params, training, rng)
+    glyph_rows = [glyphs[t] for t in range(len(sentence))]
+    xs = [reference_fuse(c, g, model.config.window_spec(), model.fusion_params,
+                         model.config.fusion.variant, model.config.fusion.include_parts)
+          for c, g in zip(char_rows, glyph_rows)]
+    h = bilstm_encode(stack_rows(xs), model.tagger_params, training, rng)
+    return [h[t] for t in range(len(sentence))]
+
+
+def loss_and_grads(model, hidden, sentence, training, seed):
+    params = model.parameters()
+    for p in params:
+        p.grad[...] = 0.0
+    rng = np.random.default_rng(seed) if training else None
+    hs = hidden(sentence.chars, training, rng)
+    loss = nll_loss([(hs, [model.scheme.label_index(lab) for lab in sentence.labels])], model.crf)
+    loss.backward()
+    return np.stack([h.data for h in hs]), loss.item(), [p.grad.copy() for p in params]
+
+
+def small_cnn(variant):
+    return CgsCnnConfig(variant=variant, conv3d_channels=2, tianzige_channels=16,
+                        pyramid_channels=(4, 4, 8, 16), pool1d_window=1, pool1d_stride=1)
+
+
+@pytest.mark.parametrize("tagger", TAGGER_VARIANTS)
+@pytest.mark.parametrize("fusion", FUSION_VARIANTS)
+@pytest.mark.parametrize("cnn", CNN_VARIANTS)
+def test_sentence_matrix_matches_per_character_pipeline(cnn, fusion, tagger):
+    scheme = LabelScheme.from_entity_types(("LOC",))
+    rng = np.random.default_rng([CNN_VARIANTS.index(cnn), FUSION_VARIANTS.index(fusion),
+                                 TAGGER_VARIANTS.index(tagger)])
+    for include_parts in (True, False):
+        config = tiny_config(cnn=small_cnn(cnn), tagger=TaggerConfig(variant=tagger),
+                             fusion=replace(tiny_config().fusion, variant=fusion,
+                                            include_parts=include_parts))
+        model = FgnModel(config, scheme, VOCAB, GlyphAtlas(fallback_seed=3))
+        if model.fusion_params is not None:
+            # nonzero query and bias, so the attention weights are not uniform
+            for p in model.fusion_params.parameters()[1:]:
+                p.data[...] = rng.normal(size=p.shape)
+
+        def hidden(chars, training, rng_):
+            return model.hidden_states(chars, training=training, rng=rng_)
+
+        def reference(chars, training, rng_):
+            return reference_hidden_rows(model, chars, training, rng_)
+
+        # dropout off at three lengths; dropout on (cnn 0.2, tagger 0.5) with equal seeds at the longest
+        for tau, training in ((1, False), (2, False), (7, False), (7, True)):
+            labels = tuple(scheme.labels[int(v)] for v in rng.integers(0, scheme.label_count, size=tau))
+            sentence = TaggedSentence(VOCAB[:tau], labels, 0)
+            h_new, loss_new, grads_new = loss_and_grads(model, hidden, sentence, training, 5)
+            h_ref, loss_ref, grads_ref = loss_and_grads(model, reference, sentence, training, 5)
+            np.testing.assert_allclose(h_new, h_ref, rtol=1e-10, atol=1e-12)
+            assert abs(loss_new - loss_ref) <= 1e-10 * max(1.0, abs(loss_ref))
+            for p, g_new, g_ref in zip(model.parameters(), grads_new, grads_ref):
+                np.testing.assert_allclose(g_new, g_ref, rtol=1e-10, atol=1e-12, err_msg=p.name)
+
+        # fusing one character alone gives the row of the sentence call
+        c = model.provider.embed(0, VOCAB)
+        g = encode_sequence(sentence_to_graphs(model.atlas, VOCAB), config.cnn, model.cnn_params)
+        spec = config.window_spec()
+        whole = fuse_character(c, g, spec, model.fusion_params, fusion, include_parts).data
+        for t in range(len(VOCAB)):
+            one = fuse_character(c[t], g[t], spec, model.fusion_params, fusion, include_parts).data
+            np.testing.assert_allclose(one, whole[t], rtol=0, atol=1e-12)
+
+
+def graph_size(root) -> int:
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_graph_grows_only_with_the_crf_recursion(model):
+    # the CRF forward recursion is the one part of the loss built per character
+    def nodes(tau):
+        chars = (VOCAB * 2)[:tau]
+        return graph_size(model.loss([TaggedSentence(chars, ("O",) * tau, 0)], training=False))
+
+    short, long = nodes(4), nodes(12)
+    assert long - short <= 8 * (12 - 4), (short, long)

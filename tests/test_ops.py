@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fgn.gradcheck import grad_check
-from fgn.ops import (LstmCellParams, affine, conv2d, conv3d, dropout,
+from fgn.ops import (LstmCellParams, conv2d, conv3d, dropout,
                      init_lstm_params, lstm_step, maxpool2d, pool1d)
 from fgn.tensor import Parameter, Tensor
 
@@ -193,17 +193,6 @@ def test_pool1d_gradients(rng):
         return (pool1d(x, 4, 4, "max") * Tensor(d)).sum() + (pool1d(x, 4, 4, "avg") * Tensor(d)).sum()
 
     assert grad_check(loss, [x]).passed
-
-
-def test_affine():
-    w = Parameter(np.eye(3), name="w")
-    b = Parameter(np.zeros(3), name="b")
-    x = Tensor(np.array([1.0, 2.0, 3.0]))
-    assert np.array_equal(affine(x, w, b).data, x.data)
-    w2 = Parameter(np.array([[1.0, 2.0]]), name="w2")
-    b2 = Parameter(np.array([3.0]), name="b2")
-    assert affine(Tensor(np.array([4.0, 5.0])), w2, b2).data[0] == 17.0
-    assert np.array_equal(affine(Tensor(np.zeros(2)), w2, b2).data, b2.data)
 
 
 def test_dropout_identity_paths(rng):

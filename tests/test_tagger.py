@@ -11,7 +11,7 @@ from fgn.tagger import (ENUMERATION_GUARD, MASK_PENALTY, CrfParams,
                         brute_force_best, brute_force_loglik,
                         crf_log_likelihood, init_crf_params,
                         init_tagger_params, nll_loss, viterbi_decode)
-from fgn.tensor import Parameter, Tensor
+from fgn.tensor import Parameter, Tensor, stack_rows
 
 
 def make_crf(label_count, d_hidden, rng):
@@ -99,9 +99,8 @@ def test_transition_penalties_match_predicate():
 
 def test_variant_none_is_passthrough():
     params = init_tagger_params("none", 4, 4, default_rng(0))
-    xs = [Tensor(np.arange(4.0)), Tensor(np.ones(4))]
-    out = bilstm_encode(xs, params)
-    assert out[0] is xs[0] and out[1] is xs[1]
+    x = Tensor(np.stack([np.arange(4.0), np.ones(4)]))
+    assert bilstm_encode(x, params) is x
 
 
 def test_zero_weights_give_zero_hidden():
@@ -109,7 +108,7 @@ def test_zero_weights_give_zero_hidden():
     params = init_tagger_params("bilstm", 3, 5, default_rng(0))
     for p in params.parameters():
         p.data[:] = 0.0
-    out = bilstm_encode([Tensor(np.ones(3)) for _ in range(4)], params)
+    out = bilstm_encode(Tensor(np.ones((4, 3))), params)
     for h in out:
         assert h.shape == (5,)
         np.testing.assert_array_equal(h.data, np.zeros(5))
@@ -118,8 +117,8 @@ def test_zero_weights_give_zero_hidden():
 def test_bilstm_output_dim_is_hidden_size():
     # directions are summed, not concatenated
     params = init_tagger_params("bilstm", 6, 9, default_rng(3))
-    out = bilstm_encode(rand_hs(4, 6, default_rng(4)), params)
-    assert all(h.shape == (9,) for h in out)
+    out = bilstm_encode(Tensor(default_rng(4).normal(size=(4, 6))), params)
+    assert out.shape == (4, 9)
 
 
 def test_tied_cells_palindrome():
@@ -129,7 +128,7 @@ def test_tied_cells_palindrome():
     params = TaggerParams(variant="bilstm", forward_cell=cell, backward_cell=cell)
     rng = default_rng(6)
     a, b, c = (Tensor(rng.normal(size=3)) for _ in range(3))
-    out = bilstm_encode([a, b, c, b, a], params)
+    out = bilstm_encode(stack_rows([a, b, c, b, a]), params)
     np.testing.assert_allclose(out[0].data, out[4].data, atol=1e-12)
     np.testing.assert_allclose(out[1].data, out[3].data, atol=1e-12)
 
@@ -145,16 +144,18 @@ def test_forward_only_is_causal():
     params = init_tagger_params("lstm", 3, 4, default_rng(7))
     rng = default_rng(8)
     xs = rand_hs(4, 3, rng)
-    base = [h.data.copy() for h in bilstm_encode(xs, params)]
+    base = [h.data.copy() for h in bilstm_encode(stack_rows(xs), params)]
     xs2 = list(xs[:3]) + [Tensor(xs[3].data + 1.0)]
-    alt = bilstm_encode(xs2, params)
+    alt = bilstm_encode(stack_rows(xs2), params)
     for t in range(3):
         np.testing.assert_array_equal(alt[t].data, base[t])
     assert not np.array_equal(alt[3].data, base[3])
 
 
-def reference_encode(xs, params, training=False, rng=None):
+def reference_encode(x, params, training=False, rng=None):
     """The per-character encoder: one lstm_step node chain per direction, dropout per row."""
+    xs = [x[t] for t in range(len(x))]
+
     def run(seq, cell):
         h = Tensor(np.zeros(cell.hidden_size))
         c = Tensor(np.zeros(cell.hidden_size))
@@ -178,7 +179,7 @@ def _encode_and_grads(encode, xs, params, crf, y, dropout_seed):
     leaves = list(xs) + params.parameters() + crf.parameters()
     for p in leaves:
         p.grad[...] = 0.0
-    hs = encode(xs, params, training=rng is not None, rng=rng)
+    hs = encode(stack_rows(xs), params, training=rng is not None, rng=rng)
     loss = nll_loss([(hs, y)], crf)
     loss.backward()
     return np.stack([h.data for h in hs]), loss.item(), [p.grad.copy() for p in leaves]
@@ -217,7 +218,7 @@ def test_fused_encoder_matches_per_step_reference(variant, tau, dropout_seed):
 def test_bilstm_rejects_empty_sequence():
     params = init_tagger_params("bilstm", 3, 4, default_rng(0))
     with pytest.raises(ValueError):
-        bilstm_encode([], params)
+        bilstm_encode(Tensor(np.zeros((0, 3))), params)
 
 
 def test_bad_variant_rejected():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fgn.gradcheck import grad_check
-from fgn.tensor import (Parameter, Tensor, concat, logsumexp, max_axis0, narrow,
-                        sigmoid, softmax, stack_rows, take, tanh)
+from fgn.tensor import (Parameter, Tensor, concat, logsumexp, max_axis0, sigmoid,
+                        softmax, stack_rows, tanh)
 
 
 def finite_vec(n, lo=-5, hi=5):
@@ -29,6 +29,12 @@ def test_matmul_shapes():
     assert (Tensor(np.ones(2)) @ m).data.shape == (3,)
     assert (m @ Tensor(np.ones((3, 4)))).data.shape == (2, 4)
     assert (Tensor(np.ones(3)) @ Tensor(np.arange(3.0))).data == pytest.approx(3.0)
+    stack = Tensor(np.ones((5, 2, 3)))
+    assert (stack @ Tensor(np.ones((3, 4)))).data.shape == (5, 2, 4)
+    assert (stack @ v).data.shape == (5, 2)
+    assert (Tensor(np.ones(2)) @ stack).data.shape == (5, 3)
+    with pytest.raises(ValueError):
+        m @ Tensor(np.ones((2, 3)))
 
 
 def test_arith_gradients(rng):
@@ -53,6 +59,23 @@ def test_matmul_gradients(rng):
         return ((w @ x) * Tensor(d1)).sum() + ((w @ m) * Tensor(d2)).sum()
 
     assert grad_check(loss, [w, x, m]).passed
+
+
+def test_batched_matmul_gradients(rng):
+    # leading axes broadcast: a shared weight, a shared vector, and a stack on both sides
+    a = Parameter(rng.standard_normal((3, 2, 4)), name="a")
+    b = Parameter(rng.standard_normal((3, 4, 5)), name="b")
+    w = Parameter(rng.standard_normal((4, 5)), name="w")
+    v = Parameter(rng.standard_normal(4), name="v")
+    u = Parameter(rng.standard_normal(2), name="u")
+    d1, d2 = rng.standard_normal((3, 2, 5)), rng.standard_normal((3, 2))
+    d3 = rng.standard_normal((3, 5))
+
+    def loss():
+        return (((a @ b) + (a @ w)) * Tensor(d1)).sum() + ((a @ v) * Tensor(d2)).sum() \
+            + (((u @ a) @ w) * Tensor(d3)).sum()
+
+    assert grad_check(loss, [a, b, w, v, u]).passed
 
 
 def test_broadcast_add_gradient(rng):
@@ -106,12 +129,21 @@ def test_softmax_shift_invariant_and_normalized(xs, c):
 
 def test_softmax_gradient(rng):
     x = Parameter(rng.standard_normal(6), name="x")
+    m = Parameter(rng.standard_normal((3, 4)), name="m")
     d = rng.standard_normal(6)
+    dm = rng.standard_normal((3, 4))
 
     def loss():
-        return (softmax(x) * Tensor(d)).sum()
+        return (softmax(x) * Tensor(d)).sum() + (softmax(m) * Tensor(dm)).sum()
 
-    assert grad_check(loss, [x]).passed
+    assert grad_check(loss, [x, m]).passed
+
+
+def test_softmax_rows_match_vectors(rng):
+    m = rng.standard_normal((3, 5))
+    rows = softmax(Tensor(m)).data
+    for i in range(3):
+        np.testing.assert_array_equal(rows[i], softmax(Tensor(m[i])).data)
 
 
 @given(st.lists(finite_vec(4), min_size=2, max_size=5))
@@ -136,33 +168,78 @@ def test_concat_narrow_roundtrip(rng):
     a = Tensor(rng.standard_normal(3))
     b = Tensor(rng.standard_normal(2))
     c = concat([a, b])
-    assert np.array_equal(narrow(c, 0, 3).data, a.data)
-    assert np.array_equal(narrow(c, 3, 2).data, b.data)
+    assert np.array_equal(c[0:3].data, a.data)
+    assert np.array_equal(c[3:5].data, b.data)
+    rows = concat([Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((4, 2)))])
+    assert rows.shape == (4, 5)
 
 
 def test_concat_narrow_gradients(rng):
     a = Parameter(rng.standard_normal(3), name="a")
     b = Parameter(rng.standard_normal(2), name="b")
+    ma = Parameter(rng.standard_normal((2, 3)), name="ma")
+    mb = Parameter(rng.standard_normal((2, 1)), name="mb")
     d = rng.standard_normal(5)
+    dm = rng.standard_normal((2, 4))
 
     def loss():
-        return (concat([a, b]) * Tensor(d)).sum()
+        return (concat([a, b])[1:5] * Tensor(d[1:])).sum() + (concat([ma, mb]) * Tensor(dm)).sum()
 
-    assert grad_check(loss, [a, b]).passed
+    assert grad_check(loss, [a, b, ma, mb]).passed
 
 
 def test_stack_rows_and_take(rng):
     rows = [Tensor(rng.standard_normal(4)) for _ in range(3)]
     m = stack_rows(rows)
     assert m.data.shape == (3, 4)
-    assert take(m, 5).data == pytest.approx(m.data.reshape(-1)[5])
+    assert stack_rows(m) is m
+    assert m[1, 1].data == pytest.approx(m.data.reshape(-1)[5])
 
 
 def test_take_gradient_accumulates_repeats():
     x = Parameter(np.array([1.0, 2.0, 3.0]), name="x")
-    y = take(x, 1) + take(x, 1) + take(x, 0)
+    y = x[1] + x[1] + x[0]
     y.backward()
     assert np.array_equal(x.grad, [1.0, 2.0, 0.0])
+
+
+@pytest.mark.parametrize("index", [2, -1, slice(1, 4), (Ellipsis, 1), (slice(None), None, slice(0, 2)),
+                                   np.array([3, 0, 3, 3]), (Ellipsis, np.array([[0, 1], [1, 2]]))],
+                         ids=["row", "negative_row", "slice", "ellipsis", "newaxis", "gather_repeats",
+                              "ellipsis_window_gather"])
+def test_getitem_matches_numpy(rng, index):
+    base = rng.standard_normal((5, 3))
+    x = Parameter(base.copy(), name="x")
+    y = x[index]
+    want = base[index]
+    np.testing.assert_array_equal(y.data, want)
+    d = rng.standard_normal(want.shape)
+    (y * Tensor(d)).sum().backward()
+    # every occurrence of an element in the index adds its share of the gradient
+    expect = np.zeros_like(base)
+    np.add.at(expect, index, d)
+    np.testing.assert_allclose(x.grad, expect, rtol=0, atol=1e-15)
+
+
+def test_getitem_returns_a_copy():
+    x = Parameter(np.arange(6.0).reshape(2, 3), name="x")
+    row = x[0]
+    x.data[0, 0] = 99.0
+    assert row.data[0] == 0.0
+    assert len(x) == 2 and len(row) == 3
+    assert [r.data.tolist() for r in x] == [[99.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+
+
+def test_getitem_gradient(rng):
+    x = Parameter(rng.standard_normal((4, 6)), name="x")
+    idx = 2 * np.arange(3)[:, None] + np.arange(2)
+    d1 = rng.standard_normal((4, 3, 2))
+    d2 = rng.standard_normal((3, 6))
+
+    def loss():
+        return (x[..., idx] * Tensor(d1)).sum() + (x[np.array([1, 3, 1])] * Tensor(d2)).sum()
+
+    assert grad_check(loss, [x]).passed
 
 
 def test_max_axis0_first_tie():
@@ -172,6 +249,20 @@ def test_max_axis0_first_tie():
     y.sum().backward()
     # the tie in column 0 routes to row 0
     assert np.array_equal(m.grad, [[1.0, 1.0], [0.0, 0.0]])
+
+
+def test_max_axis0_reduces_each_trailing_matrix(rng):
+    stack = Parameter(rng.standard_normal((3, 4, 2)), name="stack")
+    y = max_axis0(stack)
+    np.testing.assert_array_equal(y.data, stack.data.max(axis=-2))
+    for i in range(3):
+        np.testing.assert_array_equal(y.data[i], max_axis0(Tensor(stack.data[i])).data)
+    d = rng.standard_normal((3, 2))
+
+    def loss():
+        return (max_axis0(stack) * Tensor(d)).sum()
+
+    assert grad_check(loss, [stack]).passed
 
 
 def test_reshape_transpose_gradients(rng):
@@ -190,7 +281,7 @@ def test_grads_stay_c_ordered_through_views(rng):
     # a Fortran-ordered gradient buffer into scatter updates
     x = Parameter(rng.standard_normal((3, 4)), name="x")
     y = tanh(x.transpose((1, 0)))
-    z = take(y, 2) + take(y, 2)
+    z = y[0, 2] + y[0, 2]
     z.backward()
     assert x.grad is not None and x.grad.flags["C_CONTIGUOUS"]
     assert np.count_nonzero(x.grad) == 1
