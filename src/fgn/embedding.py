@@ -1,19 +1,19 @@
 """Per-character distributed representations behind a provider contract.
 
 Two providers: a trainable lookup table (with a shared UNK row), and frozen
-file-backed vectors replayed from an FGNEMB1 file so contextual embeddings
+file-backed vectors replayed from a vector file so contextual embeddings
 produced elsewhere can be used without any encoder living in this codebase.
+A vector file holds two `serialize` records: "lengths" (int64, one character
+count per sentence, in dataset order) and "vectors" (float32, every
+sentence's (tau, d) rows stacked in that order).
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
+from .serialize import read_records, write_records
 from .tensor import Parameter, Tensor, uniform_fan_init
-
-EMBEDDING_MAGIC = b"FGNEMB1"
 
 
 class LookupTableEmbedding:
@@ -57,10 +57,7 @@ class FileBackedEmbedding:
         records = read_embedding_file(path)
         if not records:
             raise ValueError("embedding file %s holds no sentences" % path)
-        dims = {r.shape[1] for r in records}
-        if len(dims) != 1:
-            raise ValueError("embedding file %s mixes vector sizes %s" % (path, sorted(dims)))
-        return cls(records, dims.pop())
+        return cls(records, records[0].shape[1])
 
     def embed(self, sentence_index: int, sentence: str) -> Tensor:
         """The stored (tau, dim) record of the sentence."""
@@ -78,36 +75,26 @@ class FileBackedEmbedding:
 
 
 def write_embedding_file(path, records: list) -> None:
-    """records: one (tau, d) float array per sentence, in dataset order."""
-    with open(path, "wb") as f:
-        f.write(EMBEDDING_MAGIC)
-        f.write(struct.pack("<I", len(records)))
-        for rec in records:
-            rec = np.asarray(rec, dtype=np.float32)
-            if rec.ndim != 2:
-                raise ValueError("each embedding record must be (tau, d), got shape %r" % (rec.shape,))
-            tau, d = rec.shape
-            f.write(struct.pack("<II", tau, d))
-            f.write(rec.astype("<f4").tobytes())
+    """records: one (tau, d) float array per sentence, in dataset order, all of one width d."""
+    records = [np.asarray(rec, dtype=np.float32) for rec in records]
+    for i, rec in enumerate(records):
+        if rec.ndim != 2 or rec.shape[1] != records[0].shape[1]:
+            raise ValueError("embedding record %d has shape %r; records must be (tau, d) with one d "
+                             "(record 0 is %r)" % (i, rec.shape, records[0].shape))
+    lengths = np.array([len(rec) for rec in records], dtype=np.int64)
+    vectors = np.concatenate(records) if records else np.zeros((0, 0), dtype=np.float32)
+    write_records(path, {"lengths": lengths, "vectors": vectors})
 
 
 def read_embedding_file(path) -> list:
-    with open(path, "rb") as f:
-        magic = f.read(len(EMBEDDING_MAGIC))
-        if magic != EMBEDDING_MAGIC:
-            raise OSError("not an FGNEMB1 embedding file (bad magic %r)" % (magic[:8],))
-        raw = f.read(4)
-        if len(raw) != 4:
-            raise OSError("truncated embedding file while reading the sentence count")
-        (count,) = struct.unpack("<I", raw)
-        records = []
-        for i in range(count):
-            head = f.read(8)
-            if len(head) != 8:
-                raise OSError("truncated embedding file at sentence %d header" % i)
-            tau, d = struct.unpack("<II", head)
-            payload = f.read(4 * tau * d)
-            if len(payload) != 4 * tau * d:
-                raise OSError("truncated embedding file at sentence %d payload" % i)
-            records.append(np.frombuffer(payload, dtype="<f4").reshape(tau, d).astype(np.float64))
-        return records
+    """One (tau, d) float64 array per sentence, in dataset order."""
+    records = read_records(path)
+    lengths, vectors = records.get("lengths"), records.get("vectors")
+    if (lengths is None or vectors is None or lengths.ndim != 1 or lengths.dtype.kind not in "iu"
+            or vectors.ndim != 2 or vectors.dtype.kind != "f" or (lengths < 0).any()
+            or lengths.sum() != len(vectors)):
+        raise OSError("%s is not a vector file: it needs 1-d non-negative integer lengths that sum "
+                      "to the rows of 2-d float vectors" % path)
+    vectors = vectors.astype(np.float64)
+    ends = np.cumsum(lengths).tolist()
+    return [vectors[end - n:end] for n, end in zip(lengths.tolist(), ends)]

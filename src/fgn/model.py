@@ -2,9 +2,12 @@
 
 A model file carries everything needed to run stand-alone: parameters, the
 config, the label scheme, the character vocabulary, and the glyph atlas, all
-as FGNMDL1 records. Loading rebuilds the model at the stored seed and then
-overwrites every parameter, so a save/load round trip is bit-exact. A
-sentence runs through the network as one (tau, d) matrix per stage.
+as the records of a `serialize` file: meta/model (a JSON string with
+"format": 2), atlas/codepoints, atlas/images and one param/<name> per
+parameter. Loading builds the model with its parameters unset, drawing no
+initial values, and then fills every parameter from the file, so a save/load
+round trip is bit-exact. A sentence runs through the network as one (tau, d)
+matrix per stage.
 """
 
 from __future__ import annotations
@@ -19,20 +22,29 @@ from .corpus import TaggedSentence
 from .embedding import FileBackedEmbedding, LookupTableEmbedding
 from .fusion import fuse_character, init_fusion_params
 from .glyphs import GlyphAtlas, sentence_to_graphs
-from .serialize import array_to_bytes, bytes_to_array, read_records, write_records
+from .serialize import read_records, write_records
 from .tagger import (LabelScheme, bilstm_encode, init_crf_params,
                      init_tagger_params, nll_loss, viterbi_decode)
 
 
+class _NoDraw:
+    """The init generator of `FgnModel.load`: zeros in place of draws, since the file
+    overwrites every parameter."""
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+
 class FgnModel:
     def __init__(self, config: RunConfig, scheme: LabelScheme, vocab, atlas: GlyphAtlas,
-                 provider=None):
-        """provider replaces the vectors of `embedding.path` for a file_backed model."""
+                 provider=None, rng=None):
+        """provider replaces the vectors of `embedding.path` for a file_backed model, and
+        rng the init generator seeded by config.seed; `load` passes both."""
         self.config = config
         self.scheme = scheme
         self.vocab = tuple(vocab)
         self.atlas = atlas
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed) if rng is None else rng
         # parameter creation order is fixed; it defines the init rng stream
         if config.embedding.kind == "lookup_table":
             self.provider = LookupTableEmbedding(self.vocab, config.d_char, rng,
@@ -99,16 +111,20 @@ class FgnModel:
 
     def save(self, path) -> None:
         meta = {
-            "format": 1,
+            "format": 2,
             "config": config_to_dict(self.config),
             "entity_types": list(self.scheme.entity_types),
             "labels": list(self.scheme.labels),
             "vocab": "".join(self.vocab),
             "fallback_seed": self.atlas.fallback_seed,
         }
-        records = {"meta/model": bytes_to_array(json.dumps(meta).encode("utf-8"))}
-        for cp, img in sorted(self.atlas.entries.items()):
-            records["atlas/U+%04X" % cp] = img
+        codepoints = sorted(self.atlas.entries)
+        images = np.array([self.atlas.entries[cp] for cp in codepoints])
+        records = {
+            "meta/model": np.array(json.dumps(meta)),
+            "atlas/codepoints": np.array(codepoints, dtype=np.int64),
+            "atlas/images": images.reshape((len(codepoints), self.atlas.height, self.atlas.width)),
+        }
         for p in self.parameters():
             records["param/" + p.name] = p.data
         write_records(path, records)
@@ -118,21 +134,23 @@ class FgnModel:
         records = read_records(path)
         if "meta/model" not in records:
             raise OSError("model file %s has no meta record" % path)
-        meta = json.loads(array_to_bytes(records["meta/model"]).decode("utf-8"))
-        if meta.get("format") != 1:
+        meta = json.loads(str(records["meta/model"]))
+        if meta.get("format") != 2:
             raise OSError("model file %s has unsupported format %r" % (path, meta.get("format")))
         config = config_from_dict(meta["config"])
         scheme = LabelScheme(entity_types=tuple(meta["entity_types"]), labels=tuple(meta["labels"]))
         atlas = GlyphAtlas(fallback_seed=int(meta["fallback_seed"]))
-        for name, arr in records.items():
-            if name.startswith("atlas/U+"):
-                atlas.add(int(name[len("atlas/U+"):], 16), arr)
+        codepoints, images = records.get("atlas/codepoints"), records.get("atlas/images")
+        if codepoints is None or images is None or len(codepoints) != len(images):
+            raise OSError("model file %s has no matching atlas/codepoints and atlas/images records" % path)
+        for cp, img in zip(codepoints.tolist(), images):
+            atlas.add(cp, img)
         # a loaded file_backed model holds no training vectors: it embeds through the
         # provider given to decode, e.g. the vectors of embedding.dev_path
         no_vectors = None
         if config.embedding.kind == "file_backed":
             no_vectors = FileBackedEmbedding([], config.d_char)
-        model = cls(config, scheme, meta["vocab"], atlas, no_vectors)
+        model = cls(config, scheme, meta["vocab"], atlas, no_vectors, _NoDraw())
         for p in model.parameters():
             key = "param/" + p.name
             if key not in records:

@@ -1,70 +1,40 @@
-"""Versioned binary model files.
+"""Named-array files: a stream of .npy records.
 
-Layout: magic "FGNMDL1", then records until EOF. Each record is a u32 name
-length, the UTF-8 name, a u32 rank, rank u32 dims, then the float64 payload,
-all little-endian. Records carry parameters plus everything else a model
-needs to run stand-alone (config JSON, atlas images) as named arrays.
+The first record is a 0-d string holding the JSON list of record names; one
+.npy record per name follows, in that order, each in its own dtype. There is
+no zip layer and no checksum. Records are written with
+numpy.lib.format.write_array and read back with read_array, both with
+allow_pickle=False, so an object array is refused and never unpickled. Model
+files and vector files are both made of these records.
 """
 
 from __future__ import annotations
 
-import struct
+import json
 
 import numpy as np
-
-MODEL_MAGIC = b"FGNMDL1"
+from numpy.lib.format import read_array, write_array
 
 
 def write_records(path, records: dict) -> None:
-    """Write name -> ndarray records in iteration order."""
+    """Write name -> ndarray records in iteration order, each in its own dtype."""
     with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        for name, arr in records.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", arr.ndim))
-            if arr.ndim:
-                f.write(struct.pack("<%dI" % arr.ndim, *arr.shape))
-            f.write(arr.astype("<f8").tobytes())
-
-
-def _need(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise OSError("truncated model file while reading %s" % what)
-    return buf
+        write_array(f, np.array(json.dumps(list(records))), allow_pickle=False)
+        for arr in records.values():
+            write_array(f, np.asarray(arr), allow_pickle=False)
 
 
 def read_records(path) -> dict:
-    records: dict = {}
+    """name -> ndarray; OSError when the file is not exactly a whole record stream."""
     with open(path, "rb") as f:
-        magic = f.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise OSError("not an FGNMDL1 model file (bad magic %r)" % (magic[:8],))
-        while True:
-            head = f.read(4)
-            if not head:
-                return records
-            if len(head) != 4:
-                raise OSError("truncated model file while reading a record header")
-            (name_len,) = struct.unpack("<I", head)
-            name = _need(f, name_len, "a record name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _need(f, 4, "record rank"))
-            shape = struct.unpack("<%dI" % rank, _need(f, 4 * rank, "record shape")) if rank else ()
-            count = 1
-            for s in shape:
-                count *= s
-            payload = _need(f, 8 * count, "record %r payload" % name)
-            records[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        try:
+            head = read_array(f, allow_pickle=False)
+            names = json.loads(head.item()) if head.dtype.kind == "U" and head.ndim == 0 else None
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ValueError("the first record is not a JSON list of record names")
+            records = {name: read_array(f, allow_pickle=False) for name in names}
+        except (ValueError, EOFError) as err:
+            raise OSError("%s is not a record file: %s" % (path, err)) from None
+        if f.read(1):
+            raise OSError("%s has bytes after its last record" % path)
     return records
-
-
-def bytes_to_array(data: bytes) -> np.ndarray:
-    """Encode opaque bytes as a float64 vector so they fit the record format."""
-    return np.frombuffer(data, dtype=np.uint8).astype(np.float64)
-
-
-def array_to_bytes(arr: np.ndarray) -> bytes:
-    return arr.astype(np.uint8).tobytes()

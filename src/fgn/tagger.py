@@ -193,20 +193,24 @@ def nll_loss(batch: list, crf: CrfParams, scheme: LabelScheme | None = None) -> 
     return -total
 
 
-def _score_table(hs, crf: CrfParams, scheme: LabelScheme | None):
+def _score_table(hs, crf: CrfParams, scheme: LabelScheme | None, penalty: float = MASK_PENALTY):
     emissions = stack_rows(hs).data @ crf.emission_weight.data.T
     trans = crf.transitions.data
     start = crf.start_scores.data
     if scheme is not None:
-        tmask, smask = scheme.transition_penalties()
+        tmask, smask = scheme.transition_penalties(penalty)
         trans = trans + tmask
         start = start + smask
     return emissions, trans, start
 
 
 def viterbi_decode(hs, crf: CrfParams, scheme: LabelScheme | None = None) -> list:
-    """Highest-scoring label sequence; ties break to the lowest label index."""
-    emissions, trans, start = _score_table(hs, crf, scheme)
+    """Highest-scoring label sequence; ties break to the lowest label index.
+
+    The BMES mask is -inf here, not the likelihood's finite MASK_PENALTY, so no
+    emission score can make an invalid path win.
+    """
+    emissions, trans, start = _score_table(hs, crf, scheme, -np.inf)
     tau, label_count = emissions.shape
     delta = start + emissions[0]
     back = np.zeros((tau, label_count), dtype=np.int64)
@@ -254,7 +258,7 @@ def brute_force_loglik(hs, y, crf: CrfParams, scheme: LabelScheme | None = None)
 
 
 def brute_force_best(hs, crf: CrfParams, scheme: LabelScheme | None = None) -> list:
-    emissions, trans, start = _score_table(hs, crf, scheme)
+    emissions, trans, start = _score_table(hs, crf, scheme, -np.inf)
     tau, label_count = emissions.shape
     _guard(label_count, tau)
     best_y, best_score = None, -np.inf

@@ -43,10 +43,12 @@ class Tensor:
         return float(self.data)
 
     def accumulate(self, g: np.ndarray) -> None:
-        # grads are always C-ordered buffers, whatever the data's layout
+        # grads are always C-ordered buffers of their own, whatever the data's
+        # layout: g may be a view of another node's gradient
         if self.grad is None:
-            self.grad = np.zeros(self.data.shape)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         if self.data.shape != ():

@@ -4,6 +4,7 @@ import pytest
 from fgn.embedding import (FileBackedEmbedding, LookupTableEmbedding,
                            read_embedding_file, write_embedding_file)
 from fgn.optim import AdamState, adam_step
+from fgn.serialize import write_records
 
 
 def test_lookup_same_char_same_row(rng):
@@ -92,5 +93,34 @@ def test_truncated_file_rejected(tmp_path, rng):
     write_embedding_file(path, [rng.standard_normal((2, 3))])
     blob = path.read_bytes()
     path.write_bytes(blob[:-4])
+    with pytest.raises(OSError):
+        read_embedding_file(path)
+
+
+def test_writer_rejects_mixed_widths(tmp_path, rng):
+    with pytest.raises(ValueError, match="record 1"):
+        write_embedding_file(tmp_path / "e.bin", [rng.standard_normal((2, 4)), rng.standard_normal((3, 5))])
+    with pytest.raises(ValueError, match="record 0"):
+        write_embedding_file(tmp_path / "e.bin", [rng.standard_normal(4)])
+
+
+def test_reader_checks_lengths_against_vectors(tmp_path, rng):
+    path = tmp_path / "e.bin"
+    vectors = rng.standard_normal((5, 4)).astype(np.float32)
+    bad = [
+        {"lengths": np.array([2, 2]), "vectors": vectors},             # sums to 4, not 5 rows
+        {"lengths": np.array([6, -1]), "vectors": vectors},            # negative
+        {"lengths": np.array([2.0, 3.0]), "vectors": vectors},         # not integer
+        {"lengths": np.array([[2, 3]]), "vectors": vectors},           # not 1-d
+        {"lengths": np.array([5]), "vectors": vectors.ravel()[:5]},    # vectors not 2-d
+        {"lengths": np.array([5])},                                    # no vectors
+    ]
+    for records in bad:
+        write_records(path, records)
+        with pytest.raises(OSError, match="e.bin"):
+            read_embedding_file(path)
+    # the retired format: magic, sentence count 1, then one (1, 1) float32 record
+    one = (1).to_bytes(4, "little")
+    path.write_bytes(b"FGNEMB1" + one * 3 + np.float32(0.5).tobytes())
     with pytest.raises(OSError):
         read_embedding_file(path)

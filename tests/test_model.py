@@ -1,4 +1,4 @@
-"""End-to-end model assembly, decoding, and FGNMDL1 persistence."""
+"""End-to-end model assembly, decoding, and model files (records of fgn.serialize)."""
 
 from dataclasses import replace
 
@@ -195,6 +195,16 @@ def test_load_rejects_shape_mismatch(tmp_path, model):
     records["param/crf/start_scores"] = np.zeros(17)
     write_records(path, records)
     with pytest.raises(OSError, match="crf/start_scores"):
+        FgnModel.load(path)
+
+
+def test_load_rejects_mismatched_atlas(tmp_path, model):
+    path = tmp_path / "model.fgn"
+    model.save(path)
+    records = read_records(path)
+    records["atlas/codepoints"] = np.append(records["atlas/codepoints"], 0x4E00)
+    write_records(path, records)
+    with pytest.raises(OSError, match="atlas"):
         FgnModel.load(path)
 
 

@@ -429,8 +429,14 @@ def test_viterbi_respects_scheme_mask():
     scheme = LabelScheme.from_entity_types(("PER", "LOC"))
     rng = default_rng(13)
     crf = make_crf(scheme.label_count, 4, rng)
-    for _ in range(20):
-        hs = rand_hs(int(rng.integers(1, 6)), 4, rng)
+    cases = [(crf, rand_hs(int(rng.integers(1, 6)), 4, rng), scheme) for _ in range(20)]
+    # an emission twice the finite likelihood mask would open with M-PER under a -1e4 mask
+    per = LabelScheme.from_entity_types(("PER",))
+    loud = init_crf_params(per.label_count, 2, rng)
+    loud.emission_weight.data[:] = 0.0
+    loud.emission_weight.data[per.label_index("M-PER"), 0] = 2e4
+    cases.append((loud, [Tensor(np.array(row)) for row in ([1.0, 0.0], [0.0, 1.0], [0.0, 1.0])], per))
+    for crf, hs, scheme in cases:
         path = [scheme.labels[i] for i in viterbi_decode(hs, crf, scheme)]
         assert scheme.is_valid_start(path[0])
         for prev, nxt in zip(path, path[1:]):

@@ -285,6 +285,17 @@ def test_grads_stay_c_ordered_through_views(rng):
     z.backward()
     assert x.grad is not None and x.grad.flags["C_CONTIGUOUS"]
     assert np.count_nonzero(x.grad) == 1
+    # both operands of a sum first receive views of its gradient; each needs a
+    # buffer of its own, or a's later addition writes through into b's
+    w, v = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    a, b = tanh(x), sigmoid(x)
+    (((a + b) * Tensor(w)).sum() + (a * Tensor(v)).sum()).backward()
+    np.testing.assert_array_equal(b.grad, w)
+    np.testing.assert_array_equal(a.grad, w + v)
+    # an intermediate whose first gradient is a transposed view still gets a C-ordered one
+    h = tanh(x)
+    (h.transpose((1, 0)) * Tensor(w.T)).sum().backward()
+    assert h.grad.flags["C_CONTIGUOUS"]
 
 
 def test_scalar_truediv_only():
