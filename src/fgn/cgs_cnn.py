@@ -2,9 +2,12 @@
 
 Two 3x3x3 convolutions mix each glyph with its neighbors along the sentence
 axis (radius 2 total), then a per-glyph 2D pyramid compresses 50x50 down to a
-2x2 four-quadrant structure with 64 channels; flattening and 1D pooling yield
-a (tau, 64) matrix, one glyph vector per character. tanh follows every
-convolution to keep values bounded for the downstream outer product.
+2x2 four-quadrant structure with 64 channels; a channel-major flatten and 1D
+pooling yield a (tau, 64) matrix, one glyph vector per character. tanh follows
+every convolution to keep values bounded for the downstream outer product.
+Activations stay channels-last, (tau, H, W, C), from the glyph stack to the
+2x2 grid: the 3-d convolutions read tau as a spatial axis, the 2-d ones as a
+batch axis.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .glyphs import GLYPH_SIZE
-from .ops import conv2d, conv3d, dropout, maxpool2d, pool1d
+from .ops import conv, dropout, maxpool2d, pool1d
 from .tensor import Parameter, Tensor, tanh, uniform_fan_init
 
 CNN_VARIANTS = ("cgs", "cgs_2d", "cgs_avg")
@@ -88,19 +91,15 @@ def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict, training: 
                              % (i, np.shape(g), GLYPH_SIZE, GLYPH_SIZE))
     tau = len(graphs)
     stacked = np.stack([np.asarray(g, dtype=np.float64) for g in graphs])
-
-    if config.variant == "cgs_2d":
-        x = Tensor(stacked[:, None])                      # (tau, 1, 50, 50)
-    else:
-        x = Tensor(stacked[None])                         # (1, tau, 50, 50)
-        x = tanh(conv3d(x, params["cnn/seq_conv1"]))
-        x = tanh(conv3d(x, params["cnn/seq_conv2"]))      # (8, tau, 50, 50)
-        x = x.transpose((1, 0, 2, 3))                     # (tau, 8, 50, 50)
-
+    x = Tensor(stacked[..., None])                        # (tau, 50, 50, 1)
+    if config.variant != "cgs_2d":
+        x = tanh(conv(x, params["cnn/seq_conv1"]))
+        x = tanh(conv(x, params["cnn/seq_conv2"]))        # (tau, 50, 50, 8)
     for j in range(1, len(config.pyramid_channels) + 1):
-        x = maxpool2d(tanh(conv2d(x, params["cnn/plane_conv%d" % j])), 2, 2)
-    x = maxpool2d(x, 2, 1)                                # (tau, 64, 2, 2)
-    x = x.reshape((tau, 2 * 2 * config.tianzige_channels))
+        x = maxpool2d(tanh(conv(x, params["cnn/plane_conv%d" % j])), 2, 2)
+    x = maxpool2d(x, 2, 1)                                # (tau, 2, 2, 64)
+    # channel-major, as the pool1d windows of every saved model expect
+    x = x.transpose((0, 3, 1, 2)).reshape((tau, 2 * 2 * config.tianzige_channels))
     mode = "avg" if config.variant == "cgs_avg" else "max"
     x = pool1d(x, config.pool1d_window, config.pool1d_stride, mode=mode)  # (tau, 64)
     if training and config.dropout_rate > 0.0:

@@ -19,7 +19,7 @@ from .fusion import WindowSpec, fuse_character, init_fusion_params
 from .glyphs import GlyphAtlas
 from .gradcheck import GradCheckReport, grad_check
 from .model import FgnModel
-from .ops import conv2d, conv3d, dropout, lstm_sequence, lstm_step, maxpool2d, pool1d
+from .ops import conv, dropout, lstm_sequence, lstm_step, maxpool2d, pool1d
 from .ops import init_lstm_params
 from .tagger import (LabelScheme, TaggerParams, bilstm_encode, init_crf_params,
                      nll_loss)
@@ -82,27 +82,23 @@ def _build_dropout():
     return (lambda: _dot(dropout(x, 0.3, True, np.random.default_rng(77)), r)), [x]
 
 
-def _build_conv2d():
-    rng = np.random.default_rng(106)
-    x = _p(rng, (2, 6, 6), "x")
-    k = _p(rng, (3, 2, 3, 3), "k")
-    r = rng.standard_normal((3, 6, 6))
-    return (lambda: _dot(conv2d(x, k), r)), [x, k]
-
-
-def _build_conv3d():
-    rng = np.random.default_rng(107)
-    x = _p(rng, (1, 3, 6, 6), "x")
-    k = _p(rng, (2, 1, 3, 3, 3), "k")
-    r = rng.standard_normal((2, 3, 6, 6))
-    return (lambda: _dot(conv3d(x, k), r)), [x, k]
+def _build_conv(seed: int, rank: int):
+    """Gradients of conv over `rank` spatial axes, with one leading batch axis."""
+    def build():
+        rng = np.random.default_rng(seed)
+        shape = (2,) + (3, 6, 6)[-rank:]
+        x = _p(rng, shape + (2,), "x")
+        k = _p(rng, (3, 2) + (3,) * rank, "k")
+        r = rng.standard_normal(shape + (3,))
+        return (lambda: _dot(conv(x, k), r)), [x, k]
+    return build
 
 
 def _build_maxpool2d():
     rng = np.random.default_rng(108)
-    x = _p(rng, (2, 6, 6), "x")
-    r1 = rng.standard_normal((2, 3, 3))
-    r2 = rng.standard_normal((2, 4, 4))
+    x = _p(rng, (6, 6, 2), "x")
+    r1 = rng.standard_normal((3, 3, 2))
+    r2 = rng.standard_normal((4, 4, 2))
     return (lambda: _dot(maxpool2d(x, 2, 2), r1) + _dot(maxpool2d(x, 3, 1), r2)), [x]
 
 
@@ -222,8 +218,8 @@ CHECKS = (
     CheckSpec("softmax", (), _build_softmax),
     CheckSpec("getitem_gather", (), _build_getitem_gather),
     CheckSpec("dropout_fixed_mask", (), _build_dropout),
-    CheckSpec("conv2d", ("cnn",), _build_conv2d),
-    CheckSpec("conv3d", ("cnn",), _build_conv3d),
+    CheckSpec("conv_2d_batched", ("cnn",), _build_conv(106, 2)),
+    CheckSpec("conv_3d_batched", ("cnn",), _build_conv(107, 3)),
     CheckSpec("maxpool2d", ("cnn",), _build_maxpool2d),
     CheckSpec("pool1d_max_avg", ("cnn",), _build_pool1d),
     CheckSpec("encode_sequence", ("cnn",), _build_encode_sequence, max_coords=4),

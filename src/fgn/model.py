@@ -132,14 +132,9 @@ class FgnModel:
     @classmethod
     def load(cls, path) -> "FgnModel":
         records = read_records(path)
-        if "meta/model" not in records:
-            raise OSError("model file %s has no meta record" % path)
-        meta = json.loads(str(records["meta/model"]))
-        if meta.get("format") != 2:
-            raise OSError("model file %s has unsupported format %r" % (path, meta.get("format")))
-        config = config_from_dict(meta["config"])
+        config, meta = _read_meta(path, records)
         scheme = LabelScheme(entity_types=tuple(meta["entity_types"]), labels=tuple(meta["labels"]))
-        atlas = GlyphAtlas(fallback_seed=int(meta["fallback_seed"]))
+        atlas = GlyphAtlas(fallback_seed=meta["fallback_seed"])
         codepoints, images = records.get("atlas/codepoints"), records.get("atlas/images")
         if codepoints is None or images is None or len(codepoints) != len(images):
             raise OSError("model file %s has no matching atlas/codepoints and atlas/images records" % path)
@@ -156,8 +151,34 @@ class FgnModel:
             if key not in records:
                 raise OSError("model file %s is missing parameter %s" % (path, p.name))
             stored = records[key]
-            if stored.shape != p.data.shape:
-                raise OSError("model file %s: parameter %s has shape %r, expected %r"
-                              % (path, p.name, stored.shape, p.data.shape))
-            p.data[...] = stored
+            if stored.shape != p.data.shape or stored.dtype != np.float64:
+                raise OSError("model file %s: parameter %s is %s %r, expected float64 %r"
+                              % (path, p.name, stored.dtype, stored.shape, p.data.shape))
+            p.data = np.ascontiguousarray(stored)   # adopt the record: no second copy
         return model
+
+
+_META_TYPES = {"config": dict, "entity_types": list, "labels": list, "vocab": str, "fallback_seed": int}
+
+
+def _read_meta(path, records: dict) -> tuple:
+    """(RunConfig, meta dict) from the meta/model record; OSError naming the file when malformed."""
+    if "meta/model" not in records:
+        raise OSError("model file %s has no meta record" % path)
+    try:
+        meta = json.loads(str(records["meta/model"]))
+    except ValueError:
+        raise OSError("model file %s: meta/model is not JSON" % path) from None
+    if not isinstance(meta, dict):
+        raise OSError("model file %s: meta/model is not a JSON object" % path)
+    if meta.get("format") != 2:
+        raise OSError("model file %s has unsupported format %r" % (path, meta.get("format")))
+    for key, kind in _META_TYPES.items():
+        if not isinstance(meta.get(key), kind):
+            raise OSError("model file %s: meta/model has no %s %s" % (path, kind.__name__, key))
+    if not all(isinstance(s, str) for s in meta["entity_types"] + meta["labels"]):
+        raise OSError("model file %s: meta/model entity_types and labels must be strings" % path)
+    try:
+        return config_from_dict(meta["config"]), meta
+    except (ValueError, TypeError) as err:
+        raise OSError("model file %s: bad config in meta/model: %s" % (path, err)) from None

@@ -1,11 +1,12 @@
 """Network layers built on the autodiff core.
 
-Convolutions run as im2col + one matmul so the single-threaded BLAS does the
-heavy lifting; the data gradient is another same-padding correlation with the
-kernel flipped on every spatial axis and in/out channels swapped, which is
-exact for stride 1, odd kernels, same padding. The LSTM runs a whole sentence
-as one graph node with hand-written backpropagation through time; the
-per-step cell stays as its reference.
+One channels-last convolution, (..., *S, C) with any leading batch axes,
+serves every rank. It runs as im2col + one matmul so the BLAS does the heavy
+lifting. The weight gradient is one GEMM against the saved im2col rows; the
+data gradient is the same correlation with the kernel flipped on every spatial
+axis and in/out channels swapped, exact for stride 1, odd kernels, same
+padding. The LSTM runs a whole sentence as one graph node with hand-written
+backpropagation through time; the per-step cell stays as its reference.
 """
 
 from __future__ import annotations
@@ -18,139 +19,85 @@ from numpy.lib.stride_tricks import as_strided
 from .tensor import Parameter, Tensor, sigmoid, sigmoid_array, tanh, uniform_fan_init
 
 
-def _windows2d(xp: np.ndarray, k: int) -> np.ndarray:
-    """(N,Hp,Wp,C) -> strided view (N,Ho,Wo,k,k,C) of all kxk patches."""
-    n, hp, wp, c = xp.shape
-    ho, wo = hp - k + 1, wp - k + 1
-    s0, s1, s2, s3 = xp.strides
-    return as_strided(xp, (n, ho, wo, k, k, c), (s0, s1, s2, s1, s2, s3))
+def _corr_same(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Same-padding stride-1 correlation of channels-last x (..., *S, C_in) with w (C_out, C_in, k, ..., k).
 
-
-def _corr2d_same(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same-padding stride-1 correlation; returns (y, cols) with cols kept for the weight gradient.
-
-    Patches are gathered channels-last so the innermost copied run is a full
-    C-sized contiguous chunk; cols rows are therefore ordered (k,k,C).
+    The r = w.ndim - 2 axes before the channels are spatial; any before them are
+    batch axes. Returns (y, cols): y is (..., *S, C_out); cols, kept for the
+    weight gradient, has one row per output cell ordered (k, ..., k, C_in), so
+    the innermost copied run is a whole C_in-sized contiguous chunk.
     """
-    n, c, h, wd = x.shape
-    co, ci, k, _ = w.shape
+    r, k = w.ndim - 2, w.shape[-1]
     p = k // 2
-    xp = np.zeros((n, h + 2 * p, wd + 2 * p, c))
-    xp[:, p:h + p, p:wd + p, :] = x.transpose(0, 2, 3, 1)
-    cols = _windows2d(xp, k).reshape(n * h * wd, k * k * c)
-    wmat = w.transpose(0, 2, 3, 1).reshape(co, -1)
-    y = (cols @ wmat.T).reshape(n, h, wd, co).transpose(0, 3, 1, 2)
-    return y, cols
+    spatial = x.shape[-r - 1:-1]
+    xp = np.zeros(x.shape[:-r - 1] + tuple(s + 2 * p for s in spatial) + x.shape[-1:])
+    xp[(...,) + tuple(slice(p, p + s) for s in spatial) + (slice(None),)] = x
+    st = xp.strides
+    windows = as_strided(xp, x.shape[:-1] + (k,) * r + x.shape[-1:], st[:-1] + st[-r - 1:])
+    cols = windows.reshape(-1, k ** r * x.shape[-1])
+    wmat = np.moveaxis(w, 1, -1).reshape(w.shape[0], -1)
+    return (cols @ wmat.T).reshape(x.shape[:-1] + w.shape[:1]), cols
 
 
-def conv2d(x: Tensor, kernels: Parameter) -> Tensor:
-    """2-d convolution, stride 1, same padding, odd square kernels, no bias.
+def conv(x: Tensor, kernels: Parameter) -> Tensor:
+    """Convolution over r = kernels.ndim - 2 spatial axes: stride 1, same padding, odd cubic kernels, no bias.
 
-    x: (C,H,W) or (N,C,H,W); kernels: (C_out,C_in,k,k).
+    x: (..., *S, C_in), channels last, any leading batch axes; kernels: (C_out,
+    C_in, k, ..., k). Returns (..., *S, C_out).
     """
-    single = x.data.ndim == 3
-    xd = x.data[None] if single else x.data
-    if xd.ndim != 4:
-        raise ValueError("conv2d input must be (C,H,W) or (N,C,H,W), got %r" % (x.shape,))
-    co, ci, kh, kw = kernels.data.shape
-    if kh != kw or kh % 2 == 0:
-        raise ValueError("conv2d kernels must be square with odd extent, got %dx%d" % (kh, kw))
-    if xd.shape[1] != ci:
-        raise ValueError("conv2d channel mismatch: input has %d, kernels expect %d" % (xd.shape[1], ci))
-    y, cols = _corr2d_same(xd, kernels.data)
-    out = Tensor(y[0] if single else y, (x, kernels))
-
-    def back(g, a=x, w=kernels, saved=cols, was_single=single):
-        gd = g[None] if was_single else g
-        n, _, h, wd_ = gd.shape
-        co_, ci_, k, _ = w.data.shape
-        gmat = gd.transpose(0, 2, 3, 1).reshape(n * h * wd_, -1)
-        dw = (gmat.T @ saved).reshape(co_, k, k, ci_).transpose(0, 3, 1, 2)
-        w.accumulate(dw)
-        wswap = w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-        gx, _ = _corr2d_same(gd, wswap)
-        a.accumulate(gx[0] if was_single else gx)
-
-    out._backward = back
-    return out
-
-
-def _windows3d(xp: np.ndarray, k: int) -> np.ndarray:
-    """(Tp,Hp,Wp,C) -> strided view (To,Ho,Wo,k,k,k,C)."""
-    tp, hp, wp, c = xp.shape
-    to, ho, wo = tp - k + 1, hp - k + 1, wp - k + 1
-    s0, s1, s2, s3 = xp.strides
-    return as_strided(xp, (to, ho, wo, k, k, k, c), (s0, s1, s2, s0, s1, s2, s3))
-
-
-def _corr3d_same(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c, t, h, wd = x.shape
-    co, ci, k, _, _ = w.shape
-    p = k // 2
-    xp = np.zeros((t + 2 * p, h + 2 * p, wd + 2 * p, c))
-    xp[p:t + p, p:h + p, p:wd + p, :] = x.transpose(1, 2, 3, 0)
-    cols = _windows3d(xp, k).reshape(t * h * wd, k * k * k * c)
-    wmat = w.transpose(0, 2, 3, 4, 1).reshape(co, -1)
-    y = (cols @ wmat.T).reshape(t, h, wd, co).transpose(3, 0, 1, 2)
-    return y, cols
-
-
-def conv3d(x: Tensor, kernels: Parameter) -> Tensor:
-    """3-d convolution over (C,T,H,W), stride 1, same padding on all three axes, 3x3x3 kernels, no bias."""
-    if x.data.ndim != 4:
-        raise ValueError("conv3d input must be (C,T,H,W), got %r" % (x.shape,))
-    co, ci, kt, kh, kw = kernels.data.shape
-    if (kt, kh, kw) != (3, 3, 3):
-        raise ValueError("conv3d kernels must be 3x3x3, got %dx%dx%d" % (kt, kh, kw))
-    if x.data.shape[0] != ci:
-        raise ValueError("conv3d channel mismatch: input has %d, kernels expect %d" % (x.data.shape[0], ci))
-    y, cols = _corr3d_same(x.data, kernels.data)
+    w = kernels.data
+    r = w.ndim - 2
+    if r < 1 or len(set(w.shape[2:])) != 1 or w.shape[-1] % 2 == 0:
+        raise ValueError("conv kernels must be (C_out, C_in, k, ..., k) with odd k, got %r" % (w.shape,))
+    if x.data.ndim < r + 1:
+        raise ValueError("conv input must be (..., %d spatial axes, C), got %r" % (r, x.shape))
+    if x.data.shape[-1] != w.shape[1]:
+        raise ValueError("conv channel mismatch: input has %d, kernels expect %d"
+                         % (x.data.shape[-1], w.shape[1]))
+    y, cols = _corr_same(x.data, w)
     out = Tensor(y, (x, kernels))
 
-    def back(g, a=x, w=kernels, saved=cols):
-        _, t, h, wd_ = g.shape
-        co_, ci_ = w.data.shape[:2]
-        gmat = g.transpose(1, 2, 3, 0).reshape(t * h * wd_, -1)
-        dw = (gmat.T @ saved).reshape(co_, 3, 3, 3, ci_).transpose(0, 4, 1, 2, 3)
-        w.accumulate(dw)
-        wswap = w.data.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
-        gx, _ = _corr3d_same(g, wswap)
-        a.accumulate(gx)
+    def back(g, a=x, p=kernels, saved=cols):
+        wd = p.data
+        gmat = g.reshape(-1, wd.shape[0])
+        dw = (gmat.T @ saved).reshape((wd.shape[0],) + wd.shape[2:] + wd.shape[1:2])
+        p.accumulate(np.moveaxis(dw, -1, 1))
+        flipped = np.flip(wd.swapaxes(0, 1), axis=tuple(range(2, wd.ndim)))
+        a.accumulate(_corr_same(g, flipped)[0])
 
     out._backward = back
     return out
 
 
 def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
-    """Max pooling over (C,H,W) or (N,C,H,W); ties route the gradient to the first cell in scan order."""
-    single = x.data.ndim == 3
-    xd = x.data[None] if single else x.data
-    n, c, h, w = xd.shape
+    """Max pooling over the two axes before the channels of (..., H, W, C).
+
+    Ties route the gradient to the first cell in scan order.
+    """
+    if x.data.ndim < 3:
+        raise ValueError("maxpool2d input must be (..., H, W, C), got %r" % (x.shape,))
+    xd = x.data.reshape((-1,) + x.data.shape[-3:])
+    n, h, w, c = xd.shape
     if window < 1 or stride < 1:
         raise ValueError("maxpool2d window and stride must be positive")
     ho, wo = (h - window) // stride + 1, (w - window) // stride + 1
     if ho < 1 or wo < 1:
         raise ValueError("maxpool2d window %d exceeds input %dx%d" % (window, h, w))
     s0, s1, s2, s3 = xd.strides
-    win = as_strided(xd, (n, c, ho, wo, window, window),
-                     (s0, s1, stride * s2, stride * s3, s2, s3))
-    flat = win.reshape(n, c, ho, wo, window * window)
+    win = as_strided(xd, (n, ho, wo, c, window, window),
+                     (s0, stride * s1, stride * s2, s3, s1, s2))
+    flat = win.reshape(n, ho, wo, c, window * window)
     am = np.argmax(flat, axis=-1)
     y = np.take_along_axis(flat, am[..., None], axis=-1)[..., 0]
-    out = Tensor(y[0] if single else y, (x,))
+    out = Tensor(y.reshape(x.data.shape[:-3] + y.shape[1:]), (x,))
 
-    def back(g, a=x, idx=am, was_single=single, shp=(n, c, h, w), wn=window, st=stride, oh=ho, ow=wo):
-        gd = g[None] if was_single else g
-        nn, cc, hh, ww = shp
-        rows = (np.arange(oh) * st)[None, None, :, None] + idx // wn
-        cls = (np.arange(ow) * st)[None, None, None, :] + idx % wn
-        nidx = np.arange(nn)[:, None, None, None]
-        cidx = np.arange(cc)[None, :, None, None]
-        flat_idx = ((nidx * cc + cidx) * hh + rows) * ww + cls
-        gx = np.zeros(nn * cc * hh * ww)
-        np.add.at(gx, flat_idx.reshape(-1), np.ascontiguousarray(gd).reshape(-1))
-        gx = gx.reshape(shp)
-        a.accumulate(gx[0] if was_single else gx)
+    def back(g, a=x, idx=am, wn=window, st=stride):
+        rows = (np.arange(ho) * st)[None, :, None, None] + idx // wn
+        cls = (np.arange(wo) * st)[None, None, :, None] + idx % wn
+        flat_idx = ((np.arange(n)[:, None, None, None] * h + rows) * w + cls) * c + np.arange(c)
+        gx = np.zeros(n * h * w * c)
+        np.add.at(gx, flat_idx.reshape(-1), g.reshape(-1))
+        a.accumulate(gx.reshape(a.shape))
 
     out._backward = back
     return out

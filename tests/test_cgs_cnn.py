@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fgn.cgs_cnn import CNN_VARIANTS, CgsCnnConfig, encode_sequence, init_cgs_params
 
@@ -100,3 +101,43 @@ def test_rejects_bad_graphs(rng):
         encode_sequence([], config, params)
     with pytest.raises(ValueError):
         encode_sequence([np.zeros((10, 10))], config, params)
+
+
+def reference_encode(graphs, config, params):
+    """The encoder channels-first, in numpy alone: (C, tau, H, W) through the 3-d stage,
+    (tau, C, H, W) through the plane stage, then the channel-major flatten of (tau, C, 2, 2)."""
+
+    def corr(x, w, subscripts):
+        p = w.shape[-1] // 2
+        r = w.ndim - 2
+        xp = np.pad(x, [(0, 0)] * (x.ndim - r) + [(p, p)] * r)
+        win = sliding_window_view(xp, w.shape[2:], axis=tuple(range(x.ndim - r, x.ndim)))
+        return np.einsum(subscripts, win, w, optimize=True)
+
+    def pool(x, window, stride):
+        return sliding_window_view(x, (window, window), axis=(-2, -1))[
+            ..., ::stride, ::stride, :, :].max(axis=(-2, -1))
+
+    x = np.stack(graphs)[:, None]                                        # (tau, 1, 50, 50)
+    if config.variant != "cgs_2d":
+        x = x.transpose(1, 0, 2, 3)                                      # (1, tau, 50, 50)
+        for name in ("cnn/seq_conv1", "cnn/seq_conv2"):
+            x = np.tanh(corr(x, params[name].data, "ctijabd,ocabd->otij"))
+        x = x.transpose(1, 0, 2, 3)                                      # (tau, 8, 50, 50)
+    for j in range(1, 5):
+        x = pool(np.tanh(corr(x, params["cnn/plane_conv%d" % j].data, "ncijab,ocab->noij")), 2, 2)
+    x = pool(x, 2, 1).reshape(len(graphs), -1)                           # channel-major
+    win = sliding_window_view(x, config.pool1d_window, axis=1)[:, ::config.pool1d_stride]
+    return win.mean(axis=-1) if config.variant == "cgs_avg" else win.max(axis=-1)
+
+
+@pytest.mark.parametrize("tau", [1, 2, 5])
+@pytest.mark.parametrize("variant", CNN_VARIANTS)
+def test_matches_channels_first_reference(rng, variant, tau):
+    config = CgsCnnConfig(variant=variant)
+    params = init_cgs_params(config, np.random.default_rng(7))
+    graphs = random_graphs(rng, tau)
+    got = encode_sequence(graphs, config, params).data
+    want = reference_encode(graphs, config, params)
+    assert got.shape == want.shape == (tau, 64)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fgn.gradcheck import grad_check
-from fgn.ops import conv3d, pool1d
+from fgn.ops import conv, pool1d
 from fgn.tensor import Parameter, Tensor, sigmoid
 
 
@@ -13,12 +13,12 @@ def test_sigmoid_sum_tight(rng):
 
 
 def test_conv3d_pool1d_stack(rng):
-    x = Parameter(rng.standard_normal((1, 2, 4, 4)), name="x")
+    x = Parameter(rng.standard_normal((2, 4, 4, 1)), name="x")
     w = Parameter(rng.standard_normal((2, 1, 3, 3, 3)) * 0.3, name="w")
     d = rng.standard_normal(16)
 
     def loss():
-        y = conv3d(x, w)
+        y = conv(x, w)
         v = y.reshape((2 * 2 * 4 * 4,))
         return (pool1d(v, 4, 4, "max") * Tensor(d)).sum()
 

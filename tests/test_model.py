@@ -1,5 +1,6 @@
 """End-to-end model assembly, decoding, and model files (records of fgn.serialize)."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -205,6 +206,36 @@ def test_load_rejects_mismatched_atlas(tmp_path, model):
     records["atlas/codepoints"] = np.append(records["atlas/codepoints"], 0x4E00)
     write_records(path, records)
     with pytest.raises(OSError, match="atlas"):
+        FgnModel.load(path)
+
+
+@pytest.mark.parametrize("meta", [
+    1.5, "[1, 2]", '{"format": 2}', "not json", {"format": 1}, {"vocab": 7}, {"labels": "O"},
+    {"labels": [0]}, {"fallback_seed": "1"}, {"config": []}, {"config": {"cnn": {"variant": "dense"}}},
+    {"config": {"cnn": {"pyramid_channels": 4}}},
+], ids=["float", "list", "format_only", "not_json", "format_1", "int_vocab", "string_labels",
+        "int_label", "string_seed", "list_config", "bad_variant", "int_pyramid"])
+def test_load_rejects_malformed_meta(tmp_path, model, meta):
+    path = tmp_path / "model.fgn"
+    model.save(path)
+    records = read_records(path)
+    if isinstance(meta, dict):      # the saved meta with one field replaced
+        meta = json.dumps({**json.loads(str(records["meta/model"])), **meta})
+    records["meta/model"] = np.array(meta)
+    write_records(path, records)
+    with pytest.raises(OSError, match="model.fgn"):
+        FgnModel.load(path)
+
+
+def test_load_adopts_writable_float64_records(tmp_path, model):
+    path = tmp_path / "model.fgn"
+    model.save(path)
+    for p in FgnModel.load(path).parameters():
+        assert p.data.dtype == np.float64 and p.data.flags.writeable and p.data.flags.c_contiguous
+    records = read_records(path)
+    records["param/crf/transitions"] = records["param/crf/transitions"].astype(np.int64)
+    write_records(path, records)
+    with pytest.raises(OSError, match="crf/transitions is int64"):
         FgnModel.load(path)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fgn.gradcheck import grad_check
-from fgn.ops import (LstmCellParams, conv2d, conv3d, dropout,
+from fgn.ops import (LstmCellParams, conv, dropout,
                      init_lstm_params, lstm_step, maxpool2d, pool1d)
 from fgn.tensor import Parameter, Tensor
 
@@ -38,21 +38,26 @@ def conv3d_loops(x, w):
     return y
 
 
+def last(x):
+    """Channels-first (C, *S) -> the channels-last (*S, C) that conv and maxpool2d read."""
+    return np.moveaxis(x, 0, -1)
+
+
 def test_conv2d_delta_kernel_identity(rng):
-    x = rng.random((1, 5, 5))
+    x = rng.random((5, 5, 1))
     w = np.zeros((1, 1, 3, 3))
     w[0, 0, 1, 1] = 1.0
-    y = conv2d(Tensor(x), Parameter(w, name="w"))
+    y = conv(Tensor(x), Parameter(w, name="w"))
     assert np.array_equal(y.data, x)
 
 
 def test_conv2d_zero_kernel(rng):
-    y = conv2d(Tensor(rng.random((2, 4, 4))), Parameter(np.zeros((3, 2, 3, 3)), name="w"))
-    assert not y.data.any()
+    y = conv(Tensor(rng.random((4, 4, 2))), Parameter(np.zeros((3, 2, 3, 3)), name="w"))
+    assert y.data.shape == (4, 4, 3) and not y.data.any()
 
 
 def test_conv2d_ones_on_ones():
-    y = conv2d(Tensor(np.ones((1, 3, 3))), Parameter(np.ones((1, 1, 3, 3)), name="w")).data[0]
+    y = conv(Tensor(np.ones((3, 3, 1))), Parameter(np.ones((1, 1, 3, 3)), name="w")).data[..., 0]
     # padded support: 4 cells reach a corner, all 9 reach the center
     assert y[0, 0] == 4.0 and y[1, 1] == 9.0
     assert y[0, 1] == 6.0
@@ -61,103 +66,138 @@ def test_conv2d_ones_on_ones():
 def test_conv2d_matches_loop_oracle(rng):
     x = rng.standard_normal((3, 6, 5))
     w = rng.standard_normal((4, 3, 3, 3))
-    y = conv2d(Tensor(x), Parameter(w, name="w"))
-    assert np.allclose(y.data, conv2d_loops(x, w), atol=1e-12)
+    y = conv(Tensor(last(x)), Parameter(w, name="w"))
+    assert np.allclose(y.data, last(conv2d_loops(x, w)), atol=1e-12)
 
 
 def test_conv2d_batched_matches_per_item(rng):
-    x = rng.standard_normal((4, 2, 5, 5))
+    x = rng.standard_normal((4, 5, 5, 2))
     w = Parameter(rng.standard_normal((3, 2, 3, 3)), name="w")
-    yb = conv2d(Tensor(x), w).data
+    yb = conv(Tensor(x), w).data
     for i in range(4):
-        assert np.allclose(yb[i], conv2d(Tensor(x[i]), w).data, atol=1e-14)
+        assert np.allclose(yb[i], conv(Tensor(x[i]), w).data, atol=1e-14)
 
 
 def test_conv2d_rejects_bad_shapes(rng):
-    with pytest.raises(ValueError):
-        conv2d(Tensor(rng.random((2, 4, 4))), Parameter(np.zeros((1, 3, 3, 3)), name="w"))
-    with pytest.raises(ValueError):
-        conv2d(Tensor(rng.random((1, 4, 4))), Parameter(np.zeros((1, 1, 2, 2)), name="w"))
+    with pytest.raises(ValueError, match="channel"):
+        conv(Tensor(rng.random((4, 4, 2))), Parameter(np.zeros((1, 3, 3, 3)), name="w"))
+    with pytest.raises(ValueError, match="odd"):
+        conv(Tensor(rng.random((4, 4, 1))), Parameter(np.zeros((1, 1, 2, 2)), name="w"))
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_conv_matches_channels_first_oracles(rng, rank, k, lead):
+    spatial = (3, 4, 5)[-rank:]
+    x = rng.standard_normal(lead + (2,) + spatial)
+    w = rng.standard_normal((3, 2) + (k,) * rank)
+    oracle = conv2d_loops if rank == 2 else conv3d_loops
+    want = np.stack([oracle(item, w) for item in x.reshape((-1, 2) + spatial)])
+    want = np.moveaxis(want, 1, -1).reshape(lead + spatial + (3,))
+    got = conv(Tensor(np.moveaxis(x, len(lead), -1)), Parameter(w, name="w")).data
+    assert got.shape == want.shape
+    assert np.allclose(got, want, atol=1e-12)
+
+
+def test_conv_rejects_bad_shapes(rng):
+    x = Tensor(rng.random((3, 4, 4, 2)))
+    with pytest.raises(ValueError, match="odd"):
+        conv(x, Parameter(np.zeros((1, 2, 2, 2, 2)), name="w"))     # even kernel
+    with pytest.raises(ValueError, match="odd"):
+        conv(x, Parameter(np.zeros((1, 2, 3, 3, 1)), name="w"))     # not cubic
+    with pytest.raises(ValueError, match="odd"):
+        conv(x, Parameter(np.zeros((1, 2)), name="w"))              # no spatial axis
+    with pytest.raises(ValueError, match="channel"):
+        conv(x, Parameter(np.zeros((1, 3, 3, 3, 3)), name="w"))
+    with pytest.raises(ValueError, match="spatial"):
+        conv(Tensor(rng.random((4, 2))), Parameter(np.zeros((1, 2, 3, 3)), name="w"))
+    with pytest.raises(ValueError, match="spatial"):
+        conv(Tensor(rng.random((4, 4, 2))), Parameter(np.zeros((1, 2, 3, 3, 3)), name="w"))
 
 
 def test_conv3d_delta_kernel_identity(rng):
-    x = rng.random((1, 3, 4, 4))
+    x = rng.random((3, 4, 4, 1))
     w = np.zeros((1, 1, 3, 3, 3))
     w[0, 0, 1, 1, 1] = 1.0
-    y = conv3d(Tensor(x), Parameter(w, name="w"))
+    y = conv(Tensor(x), Parameter(w, name="w"))
     assert np.array_equal(y.data, x)
 
 
 def test_conv3d_ones_center_value():
     # 3x3 spatial times the 2 frames that fall inside the padded support
-    x = np.ones((1, 2, 3, 3))
+    x = np.ones((2, 3, 3, 1))
     w = Parameter(np.ones((1, 1, 3, 3, 3)), name="w")
-    y = conv3d(Tensor(x), w).data
-    assert y[0, 0, 1, 1] == 18.0
-    assert y[0, 1, 1, 1] == 18.0
+    y = conv(Tensor(x), w).data
+    assert y[0, 1, 1, 0] == 18.0
+    assert y[1, 1, 1, 0] == 18.0
 
 
 def test_conv3d_matches_loop_oracle(rng):
     x = rng.standard_normal((2, 3, 5, 4))
     w = rng.standard_normal((3, 2, 3, 3, 3))
-    y = conv3d(Tensor(x), Parameter(w, name="w"))
-    assert np.allclose(y.data, conv3d_loops(x, w), atol=1e-12)
+    y = conv(Tensor(last(x)), Parameter(w, name="w"))
+    assert np.allclose(y.data, last(conv3d_loops(x, w)), atol=1e-12)
 
 
 def test_conv3d_preserves_extent_tau1(rng):
-    y = conv3d(Tensor(rng.random((1, 1, 4, 4))), Parameter(rng.random((2, 1, 3, 3, 3)), name="w"))
-    assert y.data.shape == (2, 1, 4, 4)
+    y = conv(Tensor(rng.random((1, 4, 4, 1))), Parameter(rng.random((2, 1, 3, 3, 3)), name="w"))
+    assert y.data.shape == (1, 4, 4, 2)
 
 
 def test_conv_gradients(rng):
-    x = Parameter(rng.standard_normal((2, 2, 4, 4)), name="x")
+    x = Parameter(rng.standard_normal((2, 4, 4, 2)), name="x")
     w = Parameter(rng.standard_normal((2, 2, 3, 3)), name="w")
-    x3 = Parameter(rng.standard_normal((2, 3, 4, 4)), name="x3")
+    x3 = Parameter(rng.standard_normal((3, 4, 4, 2)), name="x3")
     w3 = Parameter(rng.standard_normal((2, 2, 3, 3, 3)), name="w3")
-    d2 = rng.standard_normal((2, 2, 4, 4))
-    d3 = rng.standard_normal((2, 3, 4, 4))
+    d2 = rng.standard_normal((2, 4, 4, 2))
+    d3 = rng.standard_normal((3, 4, 4, 2))
 
     def loss():
-        return (conv2d(x, w) * Tensor(d2)).sum() + (conv3d(x3, w3) * Tensor(d3)).sum()
+        return (conv(x, w) * Tensor(d2)).sum() + (conv(x3, w3) * Tensor(d3)).sum()
 
     assert grad_check(loss, [x, w, x3, w3]).passed
 
 
 def test_maxpool2d_values():
-    y = maxpool2d(Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])), 2, 2)
+    y = maxpool2d(Tensor(np.array([[[1.0], [2.0]], [[3.0], [4.0]]])), 2, 2)
     assert y.data.shape == (1, 1, 1) and y.data[0, 0, 0] == 4.0
-    c = maxpool2d(Tensor(np.full((3, 6, 6), 7.0)), 2, 2)
-    assert np.all(c.data == 7.0)
+    c = maxpool2d(Tensor(np.full((6, 6, 3), 7.0)), 2, 2)
+    assert c.data.shape == (3, 3, 3) and np.all(c.data == 7.0)
 
 
 def test_maxpool2d_shape_arithmetic(rng):
-    assert maxpool2d(Tensor(rng.random((1, 50, 50))), 2, 2).data.shape == (1, 25, 25)
-    assert maxpool2d(Tensor(rng.random((1, 3, 3))), 2, 1).data.shape == (1, 2, 2)
+    assert maxpool2d(Tensor(rng.random((50, 50, 1))), 2, 2).data.shape == (25, 25, 1)
+    assert maxpool2d(Tensor(rng.random((3, 3, 1))), 2, 1).data.shape == (2, 2, 1)
+    assert maxpool2d(Tensor(rng.random((2, 3, 6, 6, 4))), 2, 2).data.shape == (2, 3, 3, 3, 4)
     with pytest.raises(ValueError):
-        maxpool2d(Tensor(rng.random((1, 3, 3))), 4, 1)
+        maxpool2d(Tensor(rng.random((3, 3, 1))), 4, 1)
+    with pytest.raises(ValueError):
+        maxpool2d(Tensor(rng.random((3, 3))), 2, 1)
 
 
 def test_maxpool2d_matches_loop_oracle(rng):
     x = rng.standard_normal((2, 7, 5))
-    y = maxpool2d(Tensor(x), 2, 2).data
+    y = maxpool2d(Tensor(last(x)), 2, 2).data
     for c in range(2):
         for i in range(3):
             for j in range(2):
-                assert y[c, i, j] == x[c, 2 * i:2 * i + 2, 2 * j:2 * j + 2].max()
+                assert y[i, j, c] == x[c, 2 * i:2 * i + 2, 2 * j:2 * j + 2].max()
 
 
 def test_maxpool2d_tie_gradient_goes_first():
-    x = Parameter(np.array([[[5.0, 5.0], [5.0, 5.0]]]), name="x")
+    x = Parameter(np.full((2, 2, 1), 5.0), name="x")
     maxpool2d(x, 2, 2).sum().backward()
-    assert np.array_equal(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
+    assert np.array_equal(x.grad[..., 0], [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_maxpool2d_gradient(rng):
-    x = Parameter(rng.standard_normal((2, 2, 6, 6)), name="x")
-    d = rng.standard_normal((2, 2, 3, 3))
+    x = Parameter(rng.standard_normal((2, 6, 6, 2)), name="x")
+    d = rng.standard_normal((2, 3, 3, 2))
+    d1 = rng.standard_normal((2, 5, 5, 2))
 
     def loss():
-        return (maxpool2d(x, 2, 2) * Tensor(d)).sum()
+        return (maxpool2d(x, 2, 2) * Tensor(d)).sum() + (maxpool2d(x, 2, 1) * Tensor(d1)).sum()
 
     assert grad_check(loss, [x]).passed
 
@@ -255,5 +295,5 @@ def test_conv2d_oracle_randomized(seed):
     r = np.random.default_rng(seed)
     x = r.standard_normal((2, 4, 4))
     w = r.standard_normal((2, 2, 3, 3))
-    got = conv2d(Tensor(x), Parameter(w, name="w")).data
-    assert np.allclose(got, conv2d_loops(x, w), atol=1e-11)
+    got = conv(Tensor(last(x)), Parameter(w, name="w")).data
+    assert np.allclose(got, last(conv2d_loops(x, w)), atol=1e-11)
