@@ -6,8 +6,9 @@ axis (radius 2 total), then a per-glyph 2D pyramid compresses 50x50 down to a
 pooling yield a (tau, 64) matrix, one glyph vector per character. tanh follows
 every convolution to keep values bounded for the downstream outer product.
 Activations stay channels-last, (tau, H, W, C), from the glyph stack to the
-2x2 grid: the 3-d convolutions read tau as a spatial axis, the 2-d ones as a
-batch axis.
+2x2 grid: the 3-d convolutions read tau as a spatial axis, the 2-d convs and
+pools as a batch axis. The glyph stack enters as a constant array, so no
+gradient is computed for raw pixels.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .glyphs import GLYPH_SIZE
-from .ops import conv, dropout, maxpool2d, pool1d
+from .ops import conv, dropout, pool
 from .tensor import Parameter, Tensor, tanh, uniform_fan_init
 
 CNN_VARIANTS = ("cgs", "cgs_2d", "cgs_avg")
@@ -91,17 +92,17 @@ def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict, training: 
                              % (i, np.shape(g), GLYPH_SIZE, GLYPH_SIZE))
     tau = len(graphs)
     stacked = np.stack([np.asarray(g, dtype=np.float64) for g in graphs])
-    x = Tensor(stacked[..., None])                        # (tau, 50, 50, 1)
+    x = stacked[..., None]                                # (tau, 50, 50, 1)
     if config.variant != "cgs_2d":
         x = tanh(conv(x, params["cnn/seq_conv1"]))
         x = tanh(conv(x, params["cnn/seq_conv2"]))        # (tau, 50, 50, 8)
     for j in range(1, len(config.pyramid_channels) + 1):
-        x = maxpool2d(tanh(conv(x, params["cnn/plane_conv%d" % j])), 2, 2)
-    x = maxpool2d(x, 2, 1)                                # (tau, 2, 2, 64)
-    # channel-major, as the pool1d windows of every saved model expect
-    x = x.transpose((0, 3, 1, 2)).reshape((tau, 2 * 2 * config.tianzige_channels))
+        x = pool(tanh(conv(x, params["cnn/plane_conv%d" % j])), 2, 2, 2)
+    x = pool(x, 2, 1, 2)                                  # (tau, 2, 2, 64)
+    # channel-major, as the 1-d pool windows of every saved model expect
+    x = x.transpose((0, 3, 1, 2)).reshape((tau, 2 * 2 * config.tianzige_channels, 1))
     mode = "avg" if config.variant == "cgs_avg" else "max"
-    x = pool1d(x, config.pool1d_window, config.pool1d_stride, mode=mode)  # (tau, 64)
+    x = pool(x, config.pool1d_window, config.pool1d_stride, 1, mode).reshape((tau, config.glyph_dim))
     if training and config.dropout_rate > 0.0:
         x = dropout(x, config.dropout_rate, training, rng)
     return x

@@ -19,7 +19,7 @@ from .fusion import WindowSpec, fuse_character, init_fusion_params
 from .glyphs import GlyphAtlas
 from .gradcheck import GradCheckReport, grad_check
 from .model import FgnModel
-from .ops import conv, dropout, lstm_sequence, lstm_step, maxpool2d, pool1d
+from .ops import conv, dropout, lstm_sequence, lstm_step, pool
 from .ops import init_lstm_params
 from .tagger import (LabelScheme, TaggerParams, bilstm_encode, init_crf_params,
                      nll_loss)
@@ -94,19 +94,17 @@ def _build_conv(seed: int, rank: int):
     return build
 
 
-def _build_maxpool2d():
-    rng = np.random.default_rng(108)
-    x = _p(rng, (6, 6, 2), "x")
-    r1 = rng.standard_normal((3, 3, 2))
-    r2 = rng.standard_normal((4, 4, 2))
-    return (lambda: _dot(maxpool2d(x, 2, 2), r1) + _dot(maxpool2d(x, 3, 1), r2)), [x]
+def _build_pool(seed: int, rank: int):
+    """Gradients of pool over `rank` spatial axes: 4/3 max and avg for 1, overlapping 3/1 and 2/2 max for 2."""
+    shape, cases = {1: ((11, 1), ((4, 3, "max"), (4, 3, "avg"))),
+                    2: ((6, 6, 2), ((2, 2, "max"), (3, 1, "max")))}[rank]
 
-
-def _build_pool1d():
-    rng = np.random.default_rng(109)
-    x = _p(rng, (11,), "x")
-    r = rng.standard_normal(3)
-    return (lambda: _dot(pool1d(x, 4, 3, "max"), r) + _dot(pool1d(x, 4, 3, "avg"), r)), [x]
+    def build():
+        rng = np.random.default_rng(seed)
+        x = _p(rng, shape, "x")
+        dirs = [rng.standard_normal(pool(x, w, s, rank, m).shape) for w, s, m in cases]
+        return (lambda: sum(_dot(pool(x, w, s, rank, m), d) for (w, s, m), d in zip(cases, dirs))), [x]
+    return build
 
 
 def _build_encode_sequence():
@@ -220,8 +218,8 @@ CHECKS = (
     CheckSpec("dropout_fixed_mask", (), _build_dropout),
     CheckSpec("conv_2d_batched", ("cnn",), _build_conv(106, 2)),
     CheckSpec("conv_3d_batched", ("cnn",), _build_conv(107, 3)),
-    CheckSpec("maxpool2d", ("cnn",), _build_maxpool2d),
-    CheckSpec("pool1d_max_avg", ("cnn",), _build_pool1d),
+    CheckSpec("pool_1d_max_avg", ("cnn",), _build_pool(109, 1)),
+    CheckSpec("pool_2d_max", ("cnn",), _build_pool(108, 2)),
     CheckSpec("encode_sequence", ("cnn",), _build_encode_sequence, max_coords=4),
     CheckSpec("lstm_step", ("tagger",), _build_lstm_step),
     CheckSpec("lstm_sequence", ("tagger",), _build_lstm_sequence(False)),

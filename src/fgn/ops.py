@@ -1,12 +1,14 @@
 """Network layers built on the autodiff core.
 
-One channels-last convolution, (..., *S, C) with any leading batch axes,
-serves every rank. It runs as im2col + one matmul so the BLAS does the heavy
-lifting. The weight gradient is one GEMM against the saved im2col rows; the
-data gradient is the same correlation with the kernel flipped on every spatial
-axis and in/out channels swapped, exact for stride 1, odd kernels, same
-padding. The LSTM runs a whole sentence as one graph node with hand-written
-backpropagation through time; the per-step cell stays as its reference.
+One channels-last convolution and one pool, (..., *S, C) with any leading
+batch axes, serve every rank; both read their windows from one strided view.
+The conv runs as im2col + one matmul so the BLAS does the heavy lifting. The
+weight gradient is one GEMM against the saved im2col rows; the data gradient
+is the same correlation with the kernel flipped on every spatial axis and
+in/out channels swapped, exact for stride 1, odd kernels, same padding. The
+pool's backward is one strided slice add per window offset. The LSTM runs a
+whole sentence as one graph node with hand-written backpropagation through
+time; the per-step cell stays as its reference.
 """
 
 from __future__ import annotations
@@ -17,6 +19,18 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Parameter, Tensor, sigmoid, sigmoid_array, tanh, uniform_fan_init
+
+
+def _windows(x: np.ndarray, r: int, k: int, stride: int = 1) -> np.ndarray:
+    """Strided view of x (..., *S, C) as (..., *S_out, k, ..., k, C), S_out = (S - k) // stride + 1.
+
+    Cell (..., *j, *o, c) reads x[..., *(stride * j + o), c]: the r axes before
+    the channels are spatial, any before them are batch axes.
+    """
+    st = x.strides
+    cells = tuple((s - k) // stride + 1 for s in x.shape[-r - 1:-1])
+    return as_strided(x, x.shape[:-r - 1] + cells + (k,) * r + x.shape[-1:],
+                      st[:-r - 1] + tuple(stride * s for s in st[-r - 1:-1]) + st[-r - 1:])
 
 
 def _corr_same(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -32,115 +46,74 @@ def _corr_same(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     spatial = x.shape[-r - 1:-1]
     xp = np.zeros(x.shape[:-r - 1] + tuple(s + 2 * p for s in spatial) + x.shape[-1:])
     xp[(...,) + tuple(slice(p, p + s) for s in spatial) + (slice(None),)] = x
-    st = xp.strides
-    windows = as_strided(xp, x.shape[:-1] + (k,) * r + x.shape[-1:], st[:-1] + st[-r - 1:])
-    cols = windows.reshape(-1, k ** r * x.shape[-1])
+    cols = _windows(xp, r, k).reshape(-1, k ** r * x.shape[-1])
     wmat = np.moveaxis(w, 1, -1).reshape(w.shape[0], -1)
     return (cols @ wmat.T).reshape(x.shape[:-1] + w.shape[:1]), cols
 
 
-def conv(x: Tensor, kernels: Parameter) -> Tensor:
+def conv(x: Tensor | np.ndarray, kernels: Parameter) -> Tensor:
     """Convolution over r = kernels.ndim - 2 spatial axes: stride 1, same padding, odd cubic kernels, no bias.
 
     x: (..., *S, C_in), channels last, any leading batch axes; kernels: (C_out,
-    C_in, k, ..., k). Returns (..., *S, C_out).
+    C_in, k, ..., k). Returns (..., *S, C_out). A plain array x is a constant:
+    it gets no data gradient, so backward computes only the kernel's.
     """
     w = kernels.data
     r = w.ndim - 2
+    xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     if r < 1 or len(set(w.shape[2:])) != 1 or w.shape[-1] % 2 == 0:
         raise ValueError("conv kernels must be (C_out, C_in, k, ..., k) with odd k, got %r" % (w.shape,))
-    if x.data.ndim < r + 1:
-        raise ValueError("conv input must be (..., %d spatial axes, C), got %r" % (r, x.shape))
-    if x.data.shape[-1] != w.shape[1]:
-        raise ValueError("conv channel mismatch: input has %d, kernels expect %d"
-                         % (x.data.shape[-1], w.shape[1]))
-    y, cols = _corr_same(x.data, w)
-    out = Tensor(y, (x, kernels))
+    if xd.ndim < r + 1:
+        raise ValueError("conv input must be (..., %d spatial axes, C), got %r" % (r, xd.shape))
+    if xd.shape[-1] != w.shape[1]:
+        raise ValueError("conv channel mismatch: input has %d, kernels expect %d" % (xd.shape[-1], w.shape[1]))
+    y, cols = _corr_same(xd, w)
+    out = Tensor(y, (x, kernels) if isinstance(x, Tensor) else (kernels,))
 
     def back(g, a=x, p=kernels, saved=cols):
         wd = p.data
         gmat = g.reshape(-1, wd.shape[0])
         dw = (gmat.T @ saved).reshape((wd.shape[0],) + wd.shape[2:] + wd.shape[1:2])
         p.accumulate(np.moveaxis(dw, -1, 1))
-        flipped = np.flip(wd.swapaxes(0, 1), axis=tuple(range(2, wd.ndim)))
-        a.accumulate(_corr_same(g, flipped)[0])
+        if isinstance(a, Tensor):
+            flipped = np.flip(wd.swapaxes(0, 1), axis=tuple(range(2, wd.ndim)))
+            a.accumulate(_corr_same(g, flipped)[0])
 
     out._backward = back
     return out
 
 
-def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
-    """Max pooling over the two axes before the channels of (..., H, W, C).
+def pool(x: Tensor, window: int, stride: int, r: int, mode: str = "max") -> Tensor:
+    """Max or average pooling over the r axes before the channels of (..., *S, C).
 
-    Ties route the gradient to the first cell in scan order.
+    Cubic windows, no padding, any leading batch axes. Max ties route the
+    gradient to the first cell of the window in scan order. The backward adds
+    one strided slice per window offset, last offset first, so every input cell
+    sums the gradients of its windows in output scan order.
     """
-    if x.data.ndim < 3:
-        raise ValueError("maxpool2d input must be (..., H, W, C), got %r" % (x.shape,))
-    xd = x.data.reshape((-1,) + x.data.shape[-3:])
-    n, h, w, c = xd.shape
-    if window < 1 or stride < 1:
-        raise ValueError("maxpool2d window and stride must be positive")
-    ho, wo = (h - window) // stride + 1, (w - window) // stride + 1
-    if ho < 1 or wo < 1:
-        raise ValueError("maxpool2d window %d exceeds input %dx%d" % (window, h, w))
-    s0, s1, s2, s3 = xd.strides
-    win = as_strided(xd, (n, ho, wo, c, window, window),
-                     (s0, stride * s1, stride * s2, s3, s1, s2))
-    flat = win.reshape(n, ho, wo, c, window * window)
-    am = np.argmax(flat, axis=-1)
-    y = np.take_along_axis(flat, am[..., None], axis=-1)[..., 0]
-    out = Tensor(y.reshape(x.data.shape[:-3] + y.shape[1:]), (x,))
-
-    def back(g, a=x, idx=am, wn=window, st=stride):
-        rows = (np.arange(ho) * st)[None, :, None, None] + idx // wn
-        cls = (np.arange(wo) * st)[None, None, :, None] + idx % wn
-        flat_idx = ((np.arange(n)[:, None, None, None] * h + rows) * w + cls) * c + np.arange(c)
-        gx = np.zeros(n * h * w * c)
-        np.add.at(gx, flat_idx.reshape(-1), g.reshape(-1))
-        a.accumulate(gx.reshape(a.shape))
-
-    out._backward = back
-    return out
-
-
-def pool1d(x: Tensor, window: int, stride: int, mode: str = "max") -> Tensor:
-    """1-d pooling along the last axis of a vector or matrix."""
     if mode not in ("max", "avg"):
-        raise ValueError("pool1d mode must be 'max' or 'avg', got %r" % (mode,))
-    single = x.data.ndim == 1
-    xd = x.data[None] if single else x.data
-    if xd.ndim != 2:
-        raise ValueError("pool1d input must be a vector or matrix, got shape %r" % (x.shape,))
-    n, d = xd.shape
+        raise ValueError("pool mode must be 'max' or 'avg', got %r" % (mode,))
+    if r < 1 or x.data.ndim < r + 1:
+        raise ValueError("pool over %r axes needs an input (..., *S, C) with them, got %r" % (r, x.shape))
     if window < 1 or stride < 1:
-        raise ValueError("pool1d window and stride must be positive")
-    do = (d - window) // stride + 1
-    if do < 1:
-        raise ValueError("pool1d window %d exceeds input length %d" % (window, d))
-    s0, s1 = xd.strides
-    win = as_strided(xd, (n, do, window), (s0, stride * s1, s1))
-    if mode == "max":
-        am = np.argmax(win, axis=-1)
-        y = np.take_along_axis(win, am[..., None], axis=-1)[..., 0]
-    else:
-        am = None
-        y = win.mean(axis=-1)
-    out = Tensor(y[0] if single else y, (x,))
+        raise ValueError("pool window and stride must be positive")
+    if window > min(x.data.shape[-r - 1:-1]):
+        raise ValueError("pool window %d exceeds input %r" % (window, x.shape))
+    win = _windows(x.data, r, window, stride)
+    cells = win.shape[:-r - 1]                      # (..., *S_out)
+    flat = np.moveaxis(win, -1, len(cells)).reshape(cells + (x.data.shape[-1], window ** r))
+    am = np.argmax(flat, axis=-1) if mode == "max" else None
+    y = flat.mean(axis=-1) if am is None else np.take_along_axis(flat, am[..., None], axis=-1)[..., 0]
+    out = Tensor(y, (x,))
 
-    def back(g, a=x, idx=am, was_single=single, nn=n, dd=d, wn=window, st=stride, od=do, md=mode):
-        gd = g[None] if was_single else g
-        gx = np.zeros(nn * dd)
-        nidx = np.arange(nn)[:, None]
-        if md == "max":
-            src = np.arange(od)[None, :] * st + idx
-            np.add.at(gx, (nidx * dd + src).reshape(-1), np.ascontiguousarray(gd).reshape(-1))
-        else:
-            src = np.arange(od)[None, :, None] * st + np.arange(wn)[None, None, :]
-            flat_idx = (nidx[..., None] * dd + src).reshape(-1)
-            contrib = np.broadcast_to(gd[..., None] / wn, (nn, od, wn)).reshape(-1)
-            np.add.at(gx, flat_idx, contrib)
-        gx = gx.reshape(nn, dd)
-        a.accumulate(gx[0] if was_single else gx)
+    def back(g, a=x, idx=am):
+        gx = np.zeros(a.shape)
+        share = g / window ** r if idx is None else None
+        for o in range(window ** r - 1, -1, -1):
+            at = np.unravel_index(o, (window,) * r)
+            span = tuple(slice(i, i + stride * (n - 1) + 1, stride) for i, n in zip(at, cells[-r:]))
+            gx[(...,) + span + (slice(None),)] += share if idx is None else np.where(idx == o, g, 0.0)
+        a.accumulate(gx)
 
     out._backward = back
     return out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from fgn import ops
 from fgn.cgs_cnn import CNN_VARIANTS, CgsCnnConfig, encode_sequence, init_cgs_params
 
 
@@ -141,3 +142,16 @@ def test_matches_channels_first_reference(rng, variant, tau):
     want = reference_encode(graphs, config, params)
     assert got.shape == want.shape == (tau, 64)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant,data_grads", [("cgs", 5), ("cgs_2d", 3), ("cgs_avg", 5)])
+def test_backward_skips_raw_pixel_gradient(rng, monkeypatch, variant, data_grads):
+    # the forward is done before the wrap, so every counted call is one conv's data gradient
+    config = CgsCnnConfig(variant=variant)
+    params = init_cgs_params(config, np.random.default_rng(3))
+    y = encode_sequence(random_graphs(rng, 2), config, params)
+    inner, calls = ops._corr_same, []
+    monkeypatch.setattr(ops, "_corr_same", lambda *args: calls.append(1) or inner(*args))
+    y.sum().backward()
+    assert len(calls) == data_grads
+    assert all(p.grad.any() for p in params.values())

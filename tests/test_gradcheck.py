@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fgn.gradcheck import grad_check
-from fgn.ops import conv, pool1d
+from fgn.ops import conv, pool
 from fgn.tensor import Parameter, Tensor, sigmoid
 
 
@@ -19,8 +19,8 @@ def test_conv3d_pool1d_stack(rng):
 
     def loss():
         y = conv(x, w)
-        v = y.reshape((2 * 2 * 4 * 4,))
-        return (pool1d(v, 4, 4, "max") * Tensor(d)).sum()
+        v = y.reshape((2 * 2 * 4 * 4, 1))
+        return (pool(v, 4, 4, 1, "max") * Tensor(d[:, None])).sum()
 
     report = grad_check(loss, [x, w])
     assert report.max_rel_error < 1e-4

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fgn.gradcheck import grad_check
-from fgn.ops import (LstmCellParams, conv, dropout,
-                     init_lstm_params, lstm_step, maxpool2d, pool1d)
+from fgn.ops import LstmCellParams, conv, dropout, init_lstm_params, lstm_step, pool
 from fgn.tensor import Parameter, Tensor
 
 
@@ -39,7 +38,7 @@ def conv3d_loops(x, w):
 
 
 def last(x):
-    """Channels-first (C, *S) -> the channels-last (*S, C) that conv and maxpool2d read."""
+    """Channels-first (C, *S) -> the channels-last (*S, C) that conv and pool read."""
     return np.moveaxis(x, 0, -1)
 
 
@@ -159,26 +158,72 @@ def test_conv_gradients(rng):
     assert grad_check(loss, [x, w, x3, w3]).passed
 
 
+def pool_loops(x, window, stride, mode):
+    """Reference pooling of channels-first x (C, *S): one loop iteration per output cell."""
+    cells = tuple((n - window) // stride + 1 for n in x.shape[1:])
+    y = np.zeros(x.shape[:1] + cells)
+    for c in range(x.shape[0]):
+        for j in np.ndindex(cells):
+            win = x[(c,) + tuple(slice(stride * i, stride * i + window) for i in j)]
+            y[(c,) + j] = win.max() if mode == "max" else win.mean()
+    return y
+
+
+def pool_scatter_grad(x, g, window, stride, r, mode):
+    """The input gradient of pool by one np.add.at scatter over output cells in scan order."""
+    index, values = [], []
+    offsets = list(np.ndindex((window,) * r))
+    for cell in np.ndindex(g.shape):
+        lead, j, c = cell[:-r - 1], cell[-r - 1:-1], cell[-1]
+        src = [lead + tuple(stride * i + o for i, o in zip(j, off)) + (c,) for off in offsets]
+        if mode == "max":
+            first = int(np.argmax([x[s] for s in src]))
+            index.append(src[first])
+            values.append(g[cell])
+        else:
+            index.extend(src)
+            values.extend([g[cell] / window ** r] * len(src))
+    gx = np.zeros(x.shape)
+    np.add.at(gx, tuple(np.array(index).T), np.array(values))
+    return gx
+
+
+def test_conv_array_input_is_a_constant(rng):
+    x = rng.standard_normal((2, 4, 4, 2))
+    w = Parameter(rng.standard_normal((3, 2, 3, 3)), name="w")
+    d = Tensor(rng.standard_normal((2, 4, 4, 3)))
+    want = conv(Tensor(x), w)
+    (want * d).sum().backward()
+    want_dw = w.grad.copy()
+    w.grad[...] = 0.0
+    y = conv(x, w)
+    assert y._parents == (w,)
+    (y * d).sum().backward()
+    assert np.array_equal(y.data, want.data) and np.array_equal(w.grad, want_dw)
+
+
 def test_maxpool2d_values():
-    y = maxpool2d(Tensor(np.array([[[1.0], [2.0]], [[3.0], [4.0]]])), 2, 2)
+    y = pool(Tensor(np.array([[[1.0], [2.0]], [[3.0], [4.0]]])), 2, 2, 2)
     assert y.data.shape == (1, 1, 1) and y.data[0, 0, 0] == 4.0
-    c = maxpool2d(Tensor(np.full((6, 6, 3), 7.0)), 2, 2)
+    c = pool(Tensor(np.full((6, 6, 3), 7.0)), 2, 2, 2)
     assert c.data.shape == (3, 3, 3) and np.all(c.data == 7.0)
 
 
 def test_maxpool2d_shape_arithmetic(rng):
-    assert maxpool2d(Tensor(rng.random((50, 50, 1))), 2, 2).data.shape == (25, 25, 1)
-    assert maxpool2d(Tensor(rng.random((3, 3, 1))), 2, 1).data.shape == (2, 2, 1)
-    assert maxpool2d(Tensor(rng.random((2, 3, 6, 6, 4))), 2, 2).data.shape == (2, 3, 3, 3, 4)
-    with pytest.raises(ValueError):
-        maxpool2d(Tensor(rng.random((3, 3, 1))), 4, 1)
-    with pytest.raises(ValueError):
-        maxpool2d(Tensor(rng.random((3, 3))), 2, 1)
+    assert pool(Tensor(rng.random((50, 50, 1))), 2, 2, 2).data.shape == (25, 25, 1)
+    assert pool(Tensor(rng.random((3, 3, 1))), 2, 1, 2).data.shape == (2, 2, 1)
+    assert pool(Tensor(rng.random((2, 3, 6, 6, 4))), 2, 2, 2).data.shape == (2, 3, 3, 3, 4)
+    with pytest.raises(ValueError, match="exceeds"):
+        pool(Tensor(rng.random((3, 3, 1))), 4, 1, 2)
+    with pytest.raises(ValueError, match="exceeds"):
+        pool(Tensor(rng.random((6, 3, 1))), 4, 1, 2)
+    with pytest.raises(ValueError, match="axes"):
+        pool(Tensor(rng.random((3, 3))), 2, 1, 2)
 
 
 def test_maxpool2d_matches_loop_oracle(rng):
     x = rng.standard_normal((2, 7, 5))
-    y = maxpool2d(Tensor(last(x)), 2, 2).data
+    y = pool(Tensor(last(x)), 2, 2, 2).data
     for c in range(2):
         for i in range(3):
             for j in range(2):
@@ -187,7 +232,7 @@ def test_maxpool2d_matches_loop_oracle(rng):
 
 def test_maxpool2d_tie_gradient_goes_first():
     x = Parameter(np.full((2, 2, 1), 5.0), name="x")
-    maxpool2d(x, 2, 2).sum().backward()
+    pool(x, 2, 2, 2).sum().backward()
     assert np.array_equal(x.grad[..., 0], [[1.0, 0.0], [0.0, 0.0]])
 
 
@@ -197,40 +242,79 @@ def test_maxpool2d_gradient(rng):
     d1 = rng.standard_normal((2, 5, 5, 2))
 
     def loss():
-        return (maxpool2d(x, 2, 2) * Tensor(d)).sum() + (maxpool2d(x, 2, 1) * Tensor(d1)).sum()
+        return (pool(x, 2, 2, 2) * Tensor(d)).sum() + (pool(x, 2, 1, 2) * Tensor(d1)).sum()
 
     assert grad_check(loss, [x]).passed
 
 
+POOL_SHAPES = [(2, 2), (2, 1), (3, 1), (4, 3)]
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+@pytest.mark.parametrize("mode", ["max", "avg"])
+@pytest.mark.parametrize("window,stride", POOL_SHAPES)
+@pytest.mark.parametrize("r", [1, 2])
+def test_pool_matches_channels_first_oracles(rng, r, window, stride, mode, lead):
+    spatial = (9, 7)[-r:]
+    x = rng.standard_normal(lead + (3,) + spatial)
+    want = np.stack([pool_loops(item, window, stride, mode) for item in x.reshape((-1, 3) + spatial)])
+    want = np.moveaxis(want, 1, -1).reshape(lead + want.shape[2:] + (3,))
+    got = pool(Tensor(np.moveaxis(x, len(lead), -1)), window, stride, r, mode).data
+    assert got.shape == want.shape
+    if mode == "max":
+        assert np.array_equal(got, want)
+    else:
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", ["max", "avg"])
+@pytest.mark.parametrize("window,stride", POOL_SHAPES)
+@pytest.mark.parametrize("r", [1, 2])
+def test_pool_gradient_matches_scatter_bit_for_bit(rng, r, window, stride, mode):
+    # few distinct values force max ties; overlapping windows give a cell several addends
+    x = rng.integers(0, 3, (2,) + (9, 8)[-r:] + (2,)).astype(np.float64)
+    t = Parameter(x, name="x")
+    y = pool(t, window, stride, r, mode)
+    g = rng.standard_normal(y.shape)
+    (y * Tensor(g)).sum().backward()
+    assert np.array_equal(t.grad, pool_scatter_grad(x, g, window, stride, r, mode))
+
+
 def test_pool1d_examples():
-    v = Tensor(np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]))
-    assert np.array_equal(pool1d(v, 4, 4, "max").data, [4.0, 9.0])
-    assert np.array_equal(pool1d(v, 4, 4, "avg").data, [2.25, 5.5])
+    v = Tensor(np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])[:, None])
+    assert np.array_equal(pool(v, 4, 4, 1, "max").data[:, 0], [4.0, 9.0])
+    assert np.array_equal(pool(v, 4, 4, 1, "avg").data[:, 0], [2.25, 5.5])
 
 
 def test_pool1d_glyph_width(rng):
-    assert pool1d(Tensor(rng.random(256)), 4, 4).data.shape == (64,)
+    assert pool(Tensor(rng.random((7, 256, 1))), 4, 4, 1).data.shape == (7, 64, 1)
 
 
 def test_pool1d_rejects(rng):
-    with pytest.raises(ValueError):
-        pool1d(Tensor(rng.random(3)), 4, 4)
-    with pytest.raises(ValueError):
-        pool1d(Tensor(rng.random(8)), 2, 2, "median")
+    with pytest.raises(ValueError, match="exceeds"):
+        pool(Tensor(rng.random((3, 1))), 4, 4, 1)
+    with pytest.raises(ValueError, match="mode"):
+        pool(Tensor(rng.random((8, 1))), 2, 2, 1, "median")
+    with pytest.raises(ValueError, match="axes"):
+        pool(Tensor(rng.random((8, 1))), 2, 2, 0)
+    with pytest.raises(ValueError, match="axes"):
+        pool(Tensor(rng.random(8)), 2, 2, 1)
+    with pytest.raises(ValueError, match="positive"):
+        pool(Tensor(rng.random((8, 1))), 2, 0, 1)
 
 
 @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=8, max_size=8))
 def test_pool1d_max_dominates_avg(xs):
-    v = Tensor(np.array(xs))
-    assert np.all(pool1d(v, 4, 4, "max").data >= pool1d(v, 4, 4, "avg").data - 1e-12)
+    v = Tensor(np.array(xs)[:, None])
+    assert np.all(pool(v, 4, 4, 1, "max").data >= pool(v, 4, 4, 1, "avg").data - 1e-12)
 
 
 def test_pool1d_gradients(rng):
-    x = Parameter(rng.standard_normal(12), name="x")
-    d = rng.standard_normal(3)
+    x = Parameter(rng.standard_normal((12, 1)), name="x")
+    d = rng.standard_normal((3, 1))
 
     def loss():
-        return (pool1d(x, 4, 4, "max") * Tensor(d)).sum() + (pool1d(x, 4, 4, "avg") * Tensor(d)).sum()
+        return (pool(x, 4, 4, 1, "max") * Tensor(d)).sum() + (pool(x, 4, 4, 1, "avg") * Tensor(d)).sum()
 
     assert grad_check(loss, [x]).passed
 
