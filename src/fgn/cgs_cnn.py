@@ -29,7 +29,7 @@ class CgsCnnConfig:
     variant: str = "cgs"
     conv3d_channels: int = 8
     tianzige_channels: int = 64
-    pyramid_channels: tuple = (16, 32, 64, 64)
+    pyramid_channels: tuple[int, ...] = (16, 32, 64, 64)
     pool1d_window: int = 4
     pool1d_stride: int = 4
     dropout_rate: float = 0.2

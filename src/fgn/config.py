@@ -1,10 +1,17 @@
-"""Run configuration: dataclasses, JSON loading with strict keys, presets."""
+"""Run configuration: dataclasses, presets, and their JSON form.
+
+The dataclass fields are the JSON schema: loading walks them, rejecting
+unknown keys and values of the wrong type.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from functools import cache
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .cgs_cnn import CgsCnnConfig
 from .fusion import FUSION_VARIANTS, WindowSpec, validate_window
@@ -115,90 +122,73 @@ def full_scale_config() -> RunConfig:
     )
 
 
-# ---- JSON (strict keys) ----
+# ---- JSON: the dataclass fields are the schema ----
 
+# the one JSON quirk: these FusionConfig fields nest under "fusion": {"window": {...}}
 _WINDOW_KEYS = ("k_char", "s_char", "k_glyph", "s_glyph")
-_CNN_KEYS = ("variant", "conv3d_channels", "tianzige_channels", "pyramid_channels",
-             "pool1d_window", "pool1d_stride", "dropout_rate")
-_FUSION_KEYS = ("variant", "window", "include_parts")
-_TAGGER_KEYS = ("variant", "dropout_rate", "constrain_transitions")
-_EMBED_KEYS = ("kind", "frozen", "path", "dev_path")
-_TOP_KEYS = ("seed", "epochs", "batch_size", "learning_rate", "d_char", "d_hidden",
-             "cnn", "fusion", "tagger", "embedding")
-
-
-def _check_keys(data: dict, allowed, where: str) -> None:
-    if not isinstance(data, dict):
-        raise ValueError("config section %s must be an object" % where)
-    for key in data:
-        if key not in allowed:
-            raise ValueError("unknown config key %r in %s" % (key, where))
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    _check_keys(data, _TOP_KEYS, "the top level")
-    kwargs = {k: data[k] for k in ("seed", "epochs", "batch_size", "learning_rate",
-                                   "d_char", "d_hidden") if k in data}
-    if "cnn" in data:
-        _check_keys(data["cnn"], _CNN_KEYS, "cnn")
-        cnn = dict(data["cnn"])
-        if "pyramid_channels" in cnn:
-            cnn["pyramid_channels"] = tuple(cnn["pyramid_channels"])
-        kwargs["cnn"] = CgsCnnConfig(**cnn)
-    if "fusion" in data:
-        _check_keys(data["fusion"], _FUSION_KEYS, "fusion")
-        fusion = dict(data["fusion"])
-        window = fusion.pop("window", {})
-        _check_keys(window, _WINDOW_KEYS, "fusion.window")
-        kwargs["fusion"] = FusionConfig(**fusion, **window)
-    if "tagger" in data:
-        _check_keys(data["tagger"], _TAGGER_KEYS, "tagger")
-        kwargs["tagger"] = TaggerConfig(**data["tagger"])
-    if "embedding" in data:
-        _check_keys(data["embedding"], _EMBED_KEYS, "embedding")
-        kwargs["embedding"] = EmbeddingConfig(**data["embedding"])
-    return RunConfig(**kwargs)
+    return _section(RunConfig, data, "the top level")
+
+
+@cache
+def _schema(cls) -> dict:
+    """JSON key -> a section's dataclass, the nested fusion.window schema, or the value types the
+    field accepts (a list [types] for a tuple field). Annotations are evaluated once per class."""
+    schema = {k: _accepts(t) for k, t in get_type_hints(cls).items()}
+    if cls is FusionConfig:
+        schema["window"] = {k: schema.pop(k) for k in _WINDOW_KEYS}
+    return schema
+
+
+def _accepts(kind):
+    if is_dataclass(kind):
+        return kind
+    if get_origin(kind) is tuple:
+        return [_accepts(get_args(kind)[0])]
+    kinds = get_args(kind) if isinstance(kind, UnionType) else (kind,)
+    return kinds + (int,) if float in kinds else kinds    # a bool is no int: checked by exact type
+
+
+def _section(cls, data, where: str):
+    """cls built from the JSON object data: keys from its fields, values checked against their types."""
+    return cls(**_fields(_schema(cls), data, where))
+
+
+def _fields(schema: dict, data, where: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError("config section %s must be an object" % where)
+    kwargs = {}
+    for key, value in data.items():
+        if key not in schema:
+            raise ValueError("unknown config key %r in %s" % (key, where))
+        kind, path = schema[key], key if where == "the top level" else where + "." + key
+        if isinstance(kind, dict):
+            kwargs.update(_fields(kind, value, path))
+        elif isinstance(kind, type):
+            kwargs[key] = _section(kind, value, path)
+        else:
+            kwargs[key] = _value(kind, value, path)
+    return kwargs
+
+
+def _value(kinds, value, path: str):
+    """value if JSON gave it one of kinds; a JSON list becomes a tuple for a tuple field."""
+    if isinstance(kinds, list):
+        if not isinstance(value, list):
+            raise ValueError("config value %s must be a list, got %r" % (path, value))
+        return tuple(_value(kinds[0], v, "%s[%d]" % (path, i)) for i, v in enumerate(value))
+    if type(value) in kinds:
+        return value
+    names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+    raise ValueError("config value %s must be %s, got %r" % (path, names, value))
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "learning_rate": config.learning_rate,
-        "d_char": config.d_char,
-        "d_hidden": config.d_hidden,
-        "cnn": {
-            "variant": config.cnn.variant,
-            "conv3d_channels": config.cnn.conv3d_channels,
-            "tianzige_channels": config.cnn.tianzige_channels,
-            "pyramid_channels": list(config.cnn.pyramid_channels),
-            "pool1d_window": config.cnn.pool1d_window,
-            "pool1d_stride": config.cnn.pool1d_stride,
-            "dropout_rate": config.cnn.dropout_rate,
-        },
-        "fusion": {
-            "variant": config.fusion.variant,
-            "include_parts": config.fusion.include_parts,
-            "window": {
-                "k_char": config.fusion.k_char,
-                "s_char": config.fusion.s_char,
-                "k_glyph": config.fusion.k_glyph,
-                "s_glyph": config.fusion.s_glyph,
-            },
-        },
-        "tagger": {
-            "variant": config.tagger.variant,
-            "dropout_rate": config.tagger.dropout_rate,
-            "constrain_transitions": config.tagger.constrain_transitions,
-        },
-        "embedding": {
-            "kind": config.embedding.kind,
-            "frozen": config.embedding.frozen,
-            "path": config.embedding.path,
-            "dev_path": config.embedding.dev_path,
-        },
-    }
+    out = asdict(config, dict_factory=lambda kv: {k: list(v) if isinstance(v, tuple) else v for k, v in kv})
+    out["fusion"]["window"] = {k: out["fusion"].pop(k) for k in _WINDOW_KEYS}
+    return out
 
 
 def load_config(path) -> RunConfig:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Parameter, Tensor, concat, max_axis0, sigmoid, softmax,
-                     stack_rows, uniform_fan_init)
+from .ops import pool
+from .tensor import Parameter, Tensor, concat, sigmoid, softmax, stack_rows, uniform_fan_init
 
 FUSION_VARIANTS = ("slice_attention", "avg_pool", "max_pool", "concat")
 
@@ -115,8 +115,8 @@ def fuse_character(c_v: Tensor, g_v: Tensor, spec: WindowSpec, params: FusionPar
         f_v, _ = slice_attention(m, params)
     elif variant == "avg_pool":
         f_v = Tensor(np.ones(n) / n) @ m
-    else:
-        f_v = max_axis0(m)
+    else:   # max over the n slices: a pool whose one window spans axis -2
+        f_v = pool(m, n, 1, 1).reshape(m.shape[:-2] + m.shape[-1:])
     if include_parts:
         return concat([c_v, g_v, f_v])
     return f_v

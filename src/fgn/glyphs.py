@@ -69,6 +69,8 @@ class GlyphAtlas:
         self.height = GLYPH_SIZE
         self.width = GLYPH_SIZE
         self.fallback_seed = int(fallback_seed)
+        if self.fallback_seed < 0:
+            raise ValueError("glyph fallback_seed must be >= 0, got %d" % self.fallback_seed)
         self.entries: dict[int, np.ndarray] = {}
         self._fallback: dict[int, np.ndarray] = {}
         for cp, img in (entries or {}).items():

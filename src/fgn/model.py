@@ -21,7 +21,7 @@ from .config import RunConfig, config_from_dict, config_to_dict
 from .corpus import TaggedSentence
 from .embedding import FileBackedEmbedding, LookupTableEmbedding
 from .fusion import fuse_character, init_fusion_params
-from .glyphs import GlyphAtlas, sentence_to_graphs
+from .glyphs import GLYPH_SIZE, GlyphAtlas, sentence_to_graphs
 from .serialize import read_records, write_records
 from .tagger import (LabelScheme, bilstm_encode, init_crf_params,
                      init_tagger_params, nll_loss, viterbi_decode)
@@ -133,19 +133,26 @@ class FgnModel:
     def load(cls, path) -> "FgnModel":
         records = read_records(path)
         config, meta = _read_meta(path, records)
-        scheme = LabelScheme(entity_types=tuple(meta["entity_types"]), labels=tuple(meta["labels"]))
-        atlas = GlyphAtlas(fallback_seed=meta["fallback_seed"])
-        codepoints, images = records.get("atlas/codepoints"), records.get("atlas/images")
-        if codepoints is None or images is None or len(codepoints) != len(images):
-            raise OSError("model file %s has no matching atlas/codepoints and atlas/images records" % path)
-        for cp, img in zip(codepoints.tolist(), images):
-            atlas.add(cp, img)
+        cps, images = records.get("atlas/codepoints"), records.get("atlas/images")
+        if (cps is None or images is None or cps.ndim != 1 or cps.dtype.kind not in "iu"
+                or len(np.unique(cps)) != len(cps)
+                or images.shape != (len(cps), GLYPH_SIZE, GLYPH_SIZE) or images.dtype.kind != "f"):
+            raise OSError("model file %s needs 1-d integer atlas/codepoints, each once, and matching "
+                          "(n, %d, %d) float atlas/images records" % (path, GLYPH_SIZE, GLYPH_SIZE))
+        scheme = LabelScheme.from_entity_types(meta["entity_types"])
+        if tuple(meta["labels"]) != scheme.labels:
+            raise OSError("model file %s: stored labels %s are not those of entity types %s, %s"
+                          % (path, meta["labels"], list(scheme.entity_types), list(scheme.labels)))
         # a loaded file_backed model holds no training vectors: it embeds through the
         # provider given to decode, e.g. the vectors of embedding.dev_path
         no_vectors = None
         if config.embedding.kind == "file_backed":
             no_vectors = FileBackedEmbedding([], config.d_char)
-        model = cls(config, scheme, meta["vocab"], atlas, no_vectors, _NoDraw())
+        try:
+            atlas = GlyphAtlas(dict(zip(cps.tolist(), images)), meta["fallback_seed"])
+            model = cls(config, scheme, meta["vocab"], atlas, no_vectors, _NoDraw())
+        except ValueError as err:
+            raise OSError("model file %s: %s" % (path, err)) from None
         for p in model.parameters():
             key = "param/" + p.name
             if key not in records:
@@ -174,7 +181,7 @@ def _read_meta(path, records: dict) -> tuple:
     if meta.get("format") != 2:
         raise OSError("model file %s has unsupported format %r" % (path, meta.get("format")))
     for key, kind in _META_TYPES.items():
-        if not isinstance(meta.get(key), kind):
+        if type(meta.get(key)) is not kind:     # JSON true is no int seed
             raise OSError("model file %s: meta/model has no %s %s" % (path, kind.__name__, key))
     if not all(isinstance(s, str) for s in meta["entity_types"] + meta["labels"]):
         raise OSError("model file %s: meta/model entity_types and labels must be strings" % path)

@@ -303,21 +303,3 @@ def stack_rows(rows) -> Tensor:
     out._backward = back
     return out
 
-
-def max_axis0(x: Tensor) -> Tensor:
-    """Max over axis -2, down the rows of each trailing (n, D) matrix.
-
-    Ties route the gradient to the first row.
-    """
-    if x.data.ndim < 2:
-        raise ValueError("max_axis0 expects a matrix or a stack of them, got shape %r" % (x.shape,))
-    am = np.expand_dims(np.argmax(x.data, axis=-2), -2)
-    out = Tensor(np.take_along_axis(x.data, am, axis=-2)[..., 0, :], (x,))
-
-    def back(g, a=x, rows=am):
-        gx = np.zeros(a.data.shape)
-        np.put_along_axis(gx, rows, np.expand_dims(g, -2), axis=-2)
-        a.accumulate(gx)
-
-    out._backward = back
-    return out

@@ -6,13 +6,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cgs_cnn import CNN_VARIANTS
 from .config import RunConfig, with_variants
 from .corpus import evaluate
 from .embedding import FileBackedEmbedding
+from .fusion import FUSION_VARIANTS
 from .glyphs import GlyphAtlas
 from .model import FgnModel
 from .optim import AdamState, adam_step, restore, snapshot
-from .tagger import LabelScheme
+from .tagger import TAGGER_VARIANTS, LabelScheme
 
 
 @dataclass
@@ -115,9 +117,8 @@ def train(config: RunConfig, train_set: list, dev_set: list, atlas: GlyphAtlas,
                        best_precision=best_p, best_recall=best_r, best_f1=best_f1)
 
 
-CNN_GRID = ("cgs", "cgs_2d", "cgs_avg")
-FUSION_GRID = ("slice_attention", "avg_pool", "max_pool", "concat")
-TAGGER_GRID = ("bilstm", "lstm", "none")
+# the ablation axes are the variant tuples the configs validate against
+CNN_GRID, FUSION_GRID, TAGGER_GRID = CNN_VARIANTS, FUSION_VARIANTS, TAGGER_VARIANTS
 
 
 @dataclass

@@ -105,3 +105,8 @@ def test_sentence_to_graphs(tiny_atlas):
 def test_sentence_to_graphs_rejects_empty(tiny_atlas):
     with pytest.raises(ValueError):
         sentence_to_graphs(tiny_atlas, "")
+
+
+def test_negative_fallback_seed_rejected():
+    with pytest.raises(ValueError, match="fallback_seed"):
+        GlyphAtlas(fallback_seed=-1)

@@ -16,7 +16,7 @@ from fgn.glyphs import GlyphAtlas, sentence_to_graphs
 from fgn.model import FgnModel
 from fgn.serialize import read_records, write_records
 from fgn.tagger import TAGGER_VARIANTS, LabelScheme, bilstm_encode, nll_loss
-from fgn.tensor import Tensor, concat, max_axis0, sigmoid, softmax, stack_rows
+from fgn.tensor import Tensor, concat, sigmoid, softmax, stack_rows
 
 VOCAB = "我爱北京天安门"
 
@@ -211,10 +211,10 @@ def test_load_rejects_mismatched_atlas(tmp_path, model):
 
 @pytest.mark.parametrize("meta", [
     1.5, "[1, 2]", '{"format": 2}', "not json", {"format": 1}, {"vocab": 7}, {"labels": "O"},
-    {"labels": [0]}, {"fallback_seed": "1"}, {"config": []}, {"config": {"cnn": {"variant": "dense"}}},
+    {"labels": [0]}, {"fallback_seed": "1"}, {"fallback_seed": True}, {"config": []}, {"config": {"cnn": {"variant": "dense"}}},
     {"config": {"cnn": {"pyramid_channels": 4}}},
 ], ids=["float", "list", "format_only", "not_json", "format_1", "int_vocab", "string_labels",
-        "int_label", "string_seed", "list_config", "bad_variant", "int_pyramid"])
+        "int_label", "string_seed", "bool_fallback_seed", "list_config", "bad_variant", "int_pyramid"])
 def test_load_rejects_malformed_meta(tmp_path, model, meta):
     path = tmp_path / "model.fgn"
     model.save(path)
@@ -222,6 +222,76 @@ def test_load_rejects_malformed_meta(tmp_path, model, meta):
     if isinstance(meta, dict):      # the saved meta with one field replaced
         meta = json.dumps({**json.loads(str(records["meta/model"])), **meta})
     records["meta/model"] = np.array(meta)
+    write_records(path, records)
+    with pytest.raises(OSError, match="model.fgn"):
+        FgnModel.load(path)
+
+
+@pytest.fixture(scope="module")
+def two_type_file(tmp_path_factory):
+    """A saved LOC/PER model whose atlas holds one glyph, U+4E00."""
+    atlas = GlyphAtlas(fallback_seed=3)
+    atlas.add(0x4E00, np.linspace(0.0, 1.0, 2500).reshape(50, 50))
+    path = tmp_path_factory.mktemp("two_type") / "model.fgn"
+    FgnModel(tiny_config(), LabelScheme.from_entity_types(("LOC", "PER")), VOCAB, atlas).save(path)
+    return path
+
+
+def swap_b_per_b_loc(meta):
+    labels = meta["labels"]
+    i, j = labels.index("B-PER"), labels.index("B-LOC")
+    labels[i], labels[j] = labels[j], labels[i]
+    return meta
+
+
+def edit_meta(edit):
+    def apply(records):
+        records["meta/model"] = np.array(json.dumps(edit(json.loads(str(records["meta/model"])))))
+    return apply
+
+
+def set_config_value(where, value):
+    def edit(meta):
+        *section, key = where.split(".")
+        target = meta["config"][section[0]] if section else meta["config"]
+        target[key] = value
+        return meta
+    return edit_meta(edit)
+
+
+def edit_record(name, edit):
+    def apply(records):
+        records[name] = edit(records[name])
+    return apply
+
+
+def repeat_atlas_entry(records):
+    records["atlas/codepoints"] = np.repeat(records["atlas/codepoints"], 2)
+    records["atlas/images"] = np.repeat(records["atlas/images"], 2, axis=0)
+
+
+@pytest.mark.parametrize("change", [
+    edit_meta(swap_b_per_b_loc),
+    edit_meta(lambda meta: {**meta, "fallback_seed": -1}),
+    edit_meta(lambda meta: {**meta, "vocab": "我我爱"}),
+    edit_record("atlas/images", lambda a: a[:, :49, :49]),
+    edit_record("atlas/images", lambda a: (a * 255).astype(np.uint8)),
+    edit_record("atlas/codepoints", lambda a: a.astype(np.float64)),
+    edit_record("atlas/codepoints", lambda a: a.reshape(1, -1)),
+    repeat_atlas_entry,
+    set_config_value("fusion.include_parts", "false"),
+    set_config_value("tagger.constrain_transitions", "false"),
+    set_config_value("embedding.frozen", "false"),
+    set_config_value("seed", True),
+    set_config_value("epochs", 2.5),
+], ids=["swapped_labels", "negative_fallback_seed", "repeated_vocab", "49x49_images", "uint8_images",
+        "float_codepoints", "2d_codepoints", "repeated_codepoint", "string_include_parts",
+        "string_constrain_transitions", "string_frozen", "bool_config_seed", "float_epochs"])
+def test_load_rejects_unusable_records(tmp_path, two_type_file, change):
+    records = read_records(two_type_file)
+    FgnModel.load(two_type_file)      # the file as saved loads
+    change(records)
+    path = tmp_path / "model.fgn"
     write_records(path, records)
     with pytest.raises(OSError, match="model.fgn"):
         FgnModel.load(path)
@@ -257,8 +327,8 @@ def reference_fuse(c_v, g_v, spec, params, variant, include_parts):
         f_v = softmax(gates @ sigmoid(params.query)) @ m
     elif variant == "avg_pool":
         f_v = Tensor(np.ones(n) / n) @ m
-    else:
-        f_v = max_axis0(m)
+    else:   # the first row holding each column's max
+        f_v = m[np.argmax(m.data, axis=0), np.arange(kc * kg)]
     return concat([c_v, g_v, f_v]) if include_parts else f_v
 
 

@@ -319,6 +319,31 @@ def test_pool1d_gradients(rng):
     assert grad_check(loss, [x]).passed
 
 
+
+def test_pool_full_axis_first_tie():
+    # one window spanning the rows: the max down each column, as fusion's max_pool takes it
+    m = Parameter(np.array([[1.0, 5.0], [1.0, 2.0]]), name="m")
+    y = pool(m, 2, 1, 1)
+    assert np.array_equal(y.data, [[1.0, 5.0]])
+    y.sum().backward()
+    # the tie in column 0 routes to row 0
+    assert np.array_equal(m.grad, [[1.0, 1.0], [0.0, 0.0]])
+
+
+def test_pool_full_axis_reduces_each_trailing_matrix(rng):
+    stack = Parameter(rng.standard_normal((3, 4, 2)), name="stack")
+    y = pool(stack, 4, 1, 1)
+    assert y.shape == (3, 1, 2)
+    np.testing.assert_array_equal(y.data[:, 0], stack.data.max(axis=-2))
+    for i in range(3):
+        np.testing.assert_array_equal(y.data[i], pool(Tensor(stack.data[i]), 4, 1, 1).data)
+    d = rng.standard_normal((3, 1, 2))
+
+    def loss():
+        return (pool(stack, 4, 1, 1) * Tensor(d)).sum()
+
+    assert grad_check(loss, [stack]).passed
+
 def test_dropout_identity_paths(rng):
     x = Tensor(rng.random(20))
     assert dropout(x, 0.5, training=False, rng=None) is x

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fgn.gradcheck import grad_check
-from fgn.tensor import (Parameter, Tensor, concat, logsumexp, max_axis0, sigmoid,
-                        softmax, stack_rows, tanh)
+from fgn.tensor import Parameter, Tensor, concat, logsumexp, sigmoid, softmax, stack_rows, tanh
 
 
 def finite_vec(n, lo=-5, hi=5):
@@ -240,29 +239,6 @@ def test_getitem_gradient(rng):
         return (x[..., idx] * Tensor(d1)).sum() + (x[np.array([1, 3, 1])] * Tensor(d2)).sum()
 
     assert grad_check(loss, [x]).passed
-
-
-def test_max_axis0_first_tie():
-    m = Parameter(np.array([[1.0, 5.0], [1.0, 2.0]]), name="m")
-    y = max_axis0(m)
-    assert np.array_equal(y.data, [1.0, 5.0])
-    y.sum().backward()
-    # the tie in column 0 routes to row 0
-    assert np.array_equal(m.grad, [[1.0, 1.0], [0.0, 0.0]])
-
-
-def test_max_axis0_reduces_each_trailing_matrix(rng):
-    stack = Parameter(rng.standard_normal((3, 4, 2)), name="stack")
-    y = max_axis0(stack)
-    np.testing.assert_array_equal(y.data, stack.data.max(axis=-2))
-    for i in range(3):
-        np.testing.assert_array_equal(y.data[i], max_axis0(Tensor(stack.data[i])).data)
-    d = rng.standard_normal((3, 2))
-
-    def loss():
-        return (max_axis0(stack) * Tensor(d)).sum()
-
-    assert grad_check(loss, [stack]).passed
 
 
 def test_reshape_transpose_gradients(rng):
