@@ -103,6 +103,4 @@ def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict, training: 
     x = x.transpose((0, 3, 1, 2)).reshape((tau, 2 * 2 * config.tianzige_channels, 1))
     mode = "avg" if config.variant == "cgs_avg" else "max"
     x = pool(x, config.pool1d_window, config.pool1d_stride, 1, mode).reshape((tau, config.glyph_dim))
-    if training and config.dropout_rate > 0.0:
-        x = dropout(x, config.dropout_rate, training, rng)
-    return x
+    return dropout(x, config.dropout_rate, training, rng)

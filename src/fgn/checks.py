@@ -40,7 +40,7 @@ def _p(rng, shape, name):
 
 
 def _dot(x: Tensor, direction: np.ndarray) -> Tensor:
-    return (x * Tensor(direction)).sum()
+    return (x * direction).sum()
 
 
 def _build_sigmoid():

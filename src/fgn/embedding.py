@@ -3,6 +3,8 @@
 Two providers: a trainable lookup table (with a shared UNK row), and frozen
 file-backed vectors replayed from a vector file so contextual embeddings
 produced elsewhere can be used without any encoder living in this codebase.
+The table's rows come back as a Tensor; file-backed vectors come back as a
+constant float64 array, which every op takes without making it a graph leaf.
 A vector file holds two `serialize` records: "lengths" (int64, one character
 count per sentence, in dataset order) and "vectors" (float32, every
 sentence's (tau, d) rows stacked in that order).
@@ -59,8 +61,8 @@ class FileBackedEmbedding:
             raise ValueError("embedding file %s holds no sentences" % path)
         return cls(records, records[0].shape[1])
 
-    def embed(self, sentence_index: int, sentence: str) -> Tensor:
-        """The stored (tau, dim) record of the sentence."""
+    def embed(self, sentence_index: int, sentence: str) -> np.ndarray:
+        """The stored (tau, dim) record of the sentence, as a constant array."""
         if not 0 <= sentence_index < len(self.records):
             raise ValueError("no stored vectors for sentence %d (provider holds %d)"
                              % (sentence_index, len(self.records)))
@@ -68,7 +70,7 @@ class FileBackedEmbedding:
         if rec.shape[0] != len(sentence):
             raise ValueError("sentence %d has %d characters but its stored record has %d vectors"
                              % (sentence_index, len(sentence), rec.shape[0]))
-        return Tensor(rec)
+        return rec
 
     def parameters(self) -> list:
         return []

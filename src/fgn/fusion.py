@@ -83,12 +83,13 @@ def slice_attention(slices, params: FusionParams) -> tuple:
     return fused.reshape(m.shape[:-2] + (dim,)), weights.data.copy()
 
 
-def fuse_character(c_v: Tensor, g_v: Tensor, spec: WindowSpec, params: FusionParams | None,
+def fuse_character(c_v: Tensor | np.ndarray, g_v: Tensor, spec: WindowSpec, params: FusionParams | None,
                    variant: str = "slice_attention", include_parts: bool = True) -> Tensor:
     """Fused representation of one character, or of every character of a sentence at once.
 
     c_v (..., d_char) and g_v (..., d_glyph) share their leading axes: none for
-    one character, (tau,) for a sentence; the output keeps them. include_parts
+    one character, (tau,) for a sentence; the output keeps them. A plain-array
+    c_v (file-backed vectors) is a constant and gets no gradient. include_parts
     appends the raw character and glyph vectors around the fusion vector; with
     it off the output is the fusion vector alone. concat skips fusion entirely
     and returns [c_v, g_v].
@@ -114,7 +115,7 @@ def fuse_character(c_v: Tensor, g_v: Tensor, spec: WindowSpec, params: FusionPar
             raise ValueError("slice_attention needs FusionParams")
         f_v, _ = slice_attention(m, params)
     elif variant == "avg_pool":
-        f_v = Tensor(np.ones(n) / n) @ m
+        f_v = (np.ones(n) / n) @ m
     else:   # max over the n slices: a pool whose one window spans axis -2
         f_v = pool(m, n, 1, 1).reshape(m.shape[:-2] + m.shape[-1:])
     if include_parts:

@@ -89,11 +89,10 @@ class FgnModel:
                            include_parts=self.config.fusion.include_parts)
         return bilstm_encode(x, self.tagger_params, training, rng)
 
-    def loss(self, sentences: list, training: bool = True,
-             rng: np.random.Generator | None = None, provider=None):
+    def loss(self, sentences: list, training: bool = True, rng: np.random.Generator | None = None):
         batch = []
         for s in sentences:
-            hs = self.hidden_states(s.chars, s.index, training, rng, provider)
+            hs = self.hidden_states(s.chars, s.index, training, rng)
             y = [self.scheme.label_index(lab) for lab in s.labels]
             batch.append((hs, y))
         return nll_loss(batch, self.crf, self.mask_scheme)
@@ -103,9 +102,8 @@ class FgnModel:
         path = viterbi_decode(hs, self.crf, self.mask_scheme)
         return [self.scheme.labels[i] for i in path]
 
-    def predict_sentence(self, sentence: str, sentence_index: int = 0, provider=None) -> TaggedSentence:
-        labels = self.decode(sentence, sentence_index, provider)
-        return TaggedSentence(sentence, tuple(labels), sentence_index)
+    def predict_sentence(self, sentence: str, sentence_index: int = 0) -> TaggedSentence:
+        return TaggedSentence(sentence, tuple(self.decode(sentence, sentence_index)), sentence_index)
 
     # ---- persistence ----
 

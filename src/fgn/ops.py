@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Parameter, Tensor, sigmoid, sigmoid_array, tanh, uniform_fan_init
+from .tensor import Parameter, Tensor, _value, sigmoid, sigmoid_array, tanh, uniform_fan_init
 
 
 def _windows(x: np.ndarray, r: int, k: int, stride: int = 1) -> np.ndarray:
@@ -60,7 +60,7 @@ def conv(x: Tensor | np.ndarray, kernels: Parameter) -> Tensor:
     """
     w = kernels.data
     r = w.ndim - 2
-    xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    xd = _value(x)
     if r < 1 or len(set(w.shape[2:])) != 1 or w.shape[-1] % 2 == 0:
         raise ValueError("conv kernels must be (C_out, C_in, k, ..., k) with odd k, got %r" % (w.shape,))
     if xd.ndim < r + 1:
@@ -68,19 +68,16 @@ def conv(x: Tensor | np.ndarray, kernels: Parameter) -> Tensor:
     if xd.shape[-1] != w.shape[1]:
         raise ValueError("conv channel mismatch: input has %d, kernels expect %d" % (xd.shape[-1], w.shape[1]))
     y, cols = _corr_same(xd, w)
-    out = Tensor(y, (x, kernels) if isinstance(x, Tensor) else (kernels,))
 
-    def back(g, a=x, p=kernels, saved=cols):
-        wd = p.data
-        gmat = g.reshape(-1, wd.shape[0])
-        dw = (gmat.T @ saved).reshape((wd.shape[0],) + wd.shape[2:] + wd.shape[1:2])
-        p.accumulate(np.moveaxis(dw, -1, 1))
-        if isinstance(a, Tensor):
-            flipped = np.flip(wd.swapaxes(0, 1), axis=tuple(range(2, wd.ndim)))
-            a.accumulate(_corr_same(g, flipped)[0])
+    def back(g):
+        gmat = g.reshape(-1, w.shape[0])
+        dw = (gmat.T @ cols).reshape((w.shape[0],) + w.shape[2:] + w.shape[1:2])
+        kernels.accumulate(np.moveaxis(dw, -1, 1))
+        if isinstance(x, Tensor):
+            flipped = np.flip(w.swapaxes(0, 1), axis=tuple(range(2, w.ndim)))
+            x.accumulate(_corr_same(g, flipped)[0])
 
-    out._backward = back
-    return out
+    return Tensor(y, (x, kernels), back)
 
 
 def pool(x: Tensor, window: int, stride: int, r: int, mode: str = "max") -> Tensor:
@@ -104,19 +101,17 @@ def pool(x: Tensor, window: int, stride: int, r: int, mode: str = "max") -> Tens
     flat = np.moveaxis(win, -1, len(cells)).reshape(cells + (x.data.shape[-1], window ** r))
     am = np.argmax(flat, axis=-1) if mode == "max" else None
     y = flat.mean(axis=-1) if am is None else np.take_along_axis(flat, am[..., None], axis=-1)[..., 0]
-    out = Tensor(y, (x,))
 
-    def back(g, a=x, idx=am):
-        gx = np.zeros(a.shape)
-        share = g / window ** r if idx is None else None
+    def back(g):
+        gx = np.zeros(x.shape)
+        share = g / window ** r if am is None else None
         for o in range(window ** r - 1, -1, -1):
             at = np.unravel_index(o, (window,) * r)
             span = tuple(slice(i, i + stride * (n - 1) + 1, stride) for i, n in zip(at, cells[-r:]))
-            gx[(...,) + span + (slice(None),)] += share if idx is None else np.where(idx == o, g, 0.0)
-        a.accumulate(gx)
+            gx[(...,) + span + (slice(None),)] += share if am is None else np.where(am == o, g, 0.0)
+        x.accumulate(gx)
 
-    out._backward = back
-    return out
+    return Tensor(y, (x,), back)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:
@@ -128,9 +123,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
     mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    out = Tensor(x.data * mask, (x,))
-    out._backward = lambda g, a=x, m=mask: a.accumulate(g * m)
-    return out
+    return Tensor(x.data * mask, (x,), lambda g: x.accumulate(g * mask))
 
 
 @dataclass
@@ -202,11 +195,9 @@ def lstm_sequence(x: Tensor, cell: LstmCellParams, reverse: bool = False) -> Ten
         c = cells[t] = a[hs:2 * hs] * c + a[:hs] * a[2 * hs:3 * hs]
         tanh_c[t] = np.tanh(c)
         hidden[t] = a[3 * hs:] * tanh_c[t]
-    out = Tensor(hidden[::-1] if reverse else hidden,
-                 (x, cell.input_weight, cell.hidden_weight, cell.bias))
 
-    def back(g, inp=x, p=cell, rev=reverse):
-        g = g[::-1] if rev else g
+    def back(g):
+        g = g[::-1] if reverse else g
         dz = np.empty((tau, 4 * hs))
         dh_next = np.zeros(hs)
         dc_next = np.zeros(hs)
@@ -224,11 +215,11 @@ def lstm_sequence(x: Tensor, cell: LstmCellParams, reverse: bool = False) -> Ten
             if t:
                 dc_next = dc * f
                 dh_next = d @ w_hh
-        p.input_weight.accumulate(dz.T @ seq)
-        p.hidden_weight.accumulate(dz[1:].T @ hidden[:-1])
-        p.bias.accumulate(dz.sum(axis=0))
+        cell.input_weight.accumulate(dz.T @ seq)
+        cell.hidden_weight.accumulate(dz[1:].T @ hidden[:-1])
+        cell.bias.accumulate(dz.sum(axis=0))
         dx = dz @ w_ih
-        inp.accumulate(dx[::-1] if rev else dx)
+        x.accumulate(dx[::-1] if reverse else dx)
 
-    out._backward = back
-    return out
+    return Tensor(hidden[::-1] if reverse else hidden,
+                  (x, cell.input_weight, cell.hidden_weight, cell.bias), back)

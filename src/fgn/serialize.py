@@ -32,6 +32,8 @@ def read_records(path) -> dict:
             names = json.loads(head.item()) if head.dtype.kind == "U" and head.ndim == 0 else None
             if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
                 raise ValueError("the first record is not a JSON list of record names")
+            if len(set(names)) != len(names):
+                raise ValueError("repeated record names")
             records = {name: read_array(f, allow_pickle=False) for name in names}
         except (ValueError, EOFError) as err:
             raise OSError("%s is not a record file: %s" % (path, err)) from None

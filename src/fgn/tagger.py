@@ -152,7 +152,7 @@ def _effective_scores(crf: CrfParams, scheme: LabelScheme | None):
     if scheme is None:
         return crf.transitions, crf.start_scores
     tmask, smask = scheme.transition_penalties()
-    return crf.transitions + Tensor(tmask), crf.start_scores + Tensor(smask)
+    return crf.transitions + tmask, crf.start_scores + smask
 
 
 def _check_labels(y, label_count: int, tau: int) -> list:

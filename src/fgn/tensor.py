@@ -1,9 +1,14 @@
 """Reverse-mode autodiff over numpy float64 arrays.
 
-Every Tensor wraps an ndarray and remembers how it was produced; backward()
-runs the recorded closures in reverse topological order. Gradients accumulate
-into .grad, which is allocated lazily for intermediate nodes and eagerly for
-Parameters so optimizers can rely on it existing.
+Tensors are differentiable; plain arrays (and scalars) are constants. Every op
+builds its output with Tensor(data, operands, backward), the one place that
+makes graph edges: the Tensor operands become the parents and constants are
+dropped, so they take no gradient and backward computes none for them. Any op
+that takes a constant takes it on either side, and `ndarray <op> Tensor`
+defers to the Tensor. backward() runs the recorded closures in reverse
+topological order. Gradients accumulate into .grad, which is allocated lazily
+for intermediate nodes and eagerly for Parameters so optimizers can rely on it
+existing.
 """
 
 from __future__ import annotations
@@ -13,6 +18,11 @@ import numpy as np
 
 def _as_f64(data) -> np.ndarray:
     return np.asarray(data, dtype=np.float64)
+
+
+def _value(x) -> np.ndarray:
+    """The array of a Tensor, or a constant as a float64 array."""
+    return x.data if isinstance(x, Tensor) else _as_f64(x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -28,11 +38,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward")
+    # numpy operators return NotImplemented, so `ndarray <op> Tensor` runs the Tensor's reflected op
+    __array_ufunc__ = None
 
-    def __init__(self, data, parents=(), backward=None):
+    def __init__(self, data, operands=(), backward=None):
+        """backward(g) accumulates the output gradient g into the Tensor operands."""
         self.data = _as_f64(data)
         self.grad = None
-        self._parents = tuple(parents)
+        self._parents = tuple(o for o in operands if isinstance(o, Tensor))
         self._backward = backward
 
     @property
@@ -77,36 +90,26 @@ class Tensor:
     # ---- arithmetic ----
 
     def __add__(self, other):
-        if not isinstance(other, Tensor):
-            c = _as_f64(other)
-            out = Tensor(self.data + c, (self,))
-            out._backward = lambda g, a=self: a.accumulate(_unbroadcast(g, a.shape))
-            return out
-        out = Tensor(self.data + other.data, (self, other))
+        b = _value(other)
 
-        def back(g, a=self, b=other):
-            a.accumulate(_unbroadcast(g, a.shape))
-            b.accumulate(_unbroadcast(g, b.shape))
+        def back(g):
+            self.accumulate(_unbroadcast(g, self.shape))
+            if isinstance(other, Tensor):
+                other.accumulate(_unbroadcast(g, b.shape))
 
-        out._backward = back
-        return out
+        return Tensor(self.data + b, (self, other), back)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        if not isinstance(other, Tensor):
-            c = _as_f64(other)
-            out = Tensor(self.data * c, (self,))
-            out._backward = lambda g, a=self: a.accumulate(_unbroadcast(g * c, a.shape))
-            return out
-        out = Tensor(self.data * other.data, (self, other))
+        a, b = self.data, _value(other)
 
-        def back(g, a=self, b=other):
-            a.accumulate(_unbroadcast(g * b.data, a.shape))
-            b.accumulate(_unbroadcast(g * a.data, b.shape))
+        def back(g):
+            self.accumulate(_unbroadcast(g * b, a.shape))
+            if isinstance(other, Tensor):
+                other.accumulate(_unbroadcast(g * a, b.shape))
 
-        out._backward = back
-        return out
+        return Tensor(a * b, (self, other), back)
 
     __rmul__ = __mul__
 
@@ -125,37 +128,10 @@ class Tensor:
         return self * (1.0 / float(other))
 
     def __matmul__(self, other):
-        """numpy matmul: a vector operand is a row (left) or column (right); leading axes broadcast."""
-        if not isinstance(other, Tensor):
-            other = Tensor(other)
-        a, b = self.data, other.data
-        if a.ndim == 0 or b.ndim == 0:
-            raise ValueError("matmul needs operands of at least one axis, got %r @ %r" % (a.shape, b.shape))
-        if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-            raise ValueError("matmul shape mismatch: %r @ %r" % (a.shape, b.shape))
-        # a right operand shared by every leading index: one GEMM over all of them
-        out_d = (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[1:]) if b.ndim <= 2 else a @ b
-        out = Tensor(out_d, (self, other))
+        return matmul(self, other)
 
-        def back(g, x=self, y=other):
-            xd = x.data[None] if x.data.ndim == 1 else x.data        # (..., n, k)
-            yd = y.data[:, None] if y.data.ndim == 1 else y.data     # (..., k, m)
-            if y.data.ndim == 1:
-                g = g[..., None]
-            if x.data.ndim == 1:
-                g = np.expand_dims(g, -2)                            # (..., n, m)
-            if yd.ndim == 2:
-                g2 = g.reshape(-1, g.shape[-1])
-                gx = g2 @ yd.T
-                gy = xd.reshape(-1, xd.shape[-1]).T @ g2
-            else:
-                gx = _unbroadcast(g @ np.swapaxes(yd, -1, -2), xd.shape)
-                gy = _unbroadcast(np.swapaxes(xd, -1, -2) @ g, yd.shape)
-            x.accumulate(gx.reshape(x.shape))
-            y.accumulate(gy.reshape(y.shape))
-
-        out._backward = back
-        return out
+    def __rmatmul__(self, other):
+        return matmul(other, self)
 
     def __len__(self):
         return len(self.data)
@@ -163,34 +139,26 @@ class Tensor:
     def __getitem__(self, index):
         """numpy basic and integer-array indexing; returns a copy. Repeated indices accumulate gradient."""
         data = self.data[index]
-        out = Tensor(data.copy() if np.may_share_memory(data, self.data) else data, (self,))
 
-        def back(g, a=self, ix=index):
-            if a.grad is None:
-                a.grad = np.zeros(a.data.shape)
-            np.add.at(a.grad, ix, g)
+        def back(g):
+            if self.grad is None:
+                self.grad = np.zeros(self.data.shape)
+            np.add.at(self.grad, index, g)
 
-        out._backward = back
-        return out
+        return Tensor(data.copy() if np.may_share_memory(data, self.data) else data, (self,), back)
 
     # ---- shape ----
 
     def reshape(self, shape):
-        out = Tensor(self.data.reshape(shape), (self,))
-        out._backward = lambda g, a=self: a.accumulate(g.reshape(a.shape))
-        return out
+        return Tensor(self.data.reshape(shape), (self,), lambda g: self.accumulate(g.reshape(self.shape)))
 
     def transpose(self, axes):
-        axes = tuple(axes)
         inv = tuple(np.argsort(axes))
-        out = Tensor(self.data.transpose(axes), (self,))
-        out._backward = lambda g, a=self: a.accumulate(g.transpose(inv))
-        return out
+        return Tensor(self.data.transpose(axes), (self,), lambda g: self.accumulate(g.transpose(inv)))
 
     def sum(self):
-        out = Tensor(self.data.sum(), (self,))
-        out._backward = lambda g, a=self: a.accumulate(np.broadcast_to(g, a.shape).copy())
-        return out
+        return Tensor(self.data.sum(), (self,),
+                      lambda g: self.accumulate(np.broadcast_to(g, self.shape).copy()))
 
     def __repr__(self):
         return "Tensor(shape=%r)" % (self.shape,)
@@ -234,72 +202,87 @@ def sigmoid_array(xd: np.ndarray) -> np.ndarray:
     return out_d
 
 
+def matmul(x, y) -> Tensor:
+    """numpy matmul: a vector operand is a row (left) or column (right); leading axes broadcast.
+
+    Either operand may be a constant array; it gets no gradient.
+    """
+    a, b = _value(x), _value(y)
+    if a.ndim == 0 or b.ndim == 0:
+        raise ValueError("matmul needs operands of at least one axis, got %r @ %r" % (a.shape, b.shape))
+    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
+        raise ValueError("matmul shape mismatch: %r @ %r" % (a.shape, b.shape))
+    # a right operand shared by every leading index: one GEMM over all of them
+    out_d = (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[1:]) if b.ndim <= 2 else a @ b
+
+    def back(g):
+        xd = a[None] if a.ndim == 1 else a            # (..., n, k)
+        yd = b[:, None] if b.ndim == 1 else b         # (..., k, m)
+        if b.ndim == 1:
+            g = g[..., None]
+        if a.ndim == 1:
+            g = np.expand_dims(g, -2)                 # (..., n, m)
+        if isinstance(x, Tensor):
+            gx = (g.reshape(-1, g.shape[-1]) @ yd.T if yd.ndim == 2
+                  else _unbroadcast(g @ np.swapaxes(yd, -1, -2), xd.shape))
+            x.accumulate(gx.reshape(a.shape))
+        if isinstance(y, Tensor):
+            gy = (xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if yd.ndim == 2
+                  else _unbroadcast(np.swapaxes(xd, -1, -2) @ g, yd.shape))
+            y.accumulate(gy.reshape(b.shape))
+
+    return Tensor(out_d, (x, y), back)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    out_d = sigmoid_array(x.data)
-    out = Tensor(out_d, (x,))
-    out._backward = lambda g, a=x, o=out_d: a.accumulate(g * o * (1.0 - o))
-    return out
+    o = sigmoid_array(x.data)
+    return Tensor(o, (x,), lambda g: x.accumulate(g * o * (1.0 - o)))
 
 
 def tanh(x: Tensor) -> Tensor:
-    out_d = np.tanh(x.data)
-    out = Tensor(out_d, (x,))
-    out._backward = lambda g, a=x, o=out_d: a.accumulate(g * (1.0 - o * o))
-    return out
+    o = np.tanh(x.data)
+    return Tensor(o, (x,), lambda g: x.accumulate(g * (1.0 - o * o)))
 
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
     e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p, (x,))
-
-    def back(g, a=x, pv=p):
-        a.accumulate(pv * (g - (g * pv).sum(axis=-1, keepdims=True)))
-
-    out._backward = back
-    return out
+    return Tensor(p, (x,), lambda g: x.accumulate(p * (g - (g * p).sum(axis=-1, keepdims=True))))
 
 
 def logsumexp(x: Tensor, axis: int) -> Tensor:
     m = x.data.max(axis=axis, keepdims=True)
     e = np.exp(x.data - m)
     z = e.sum(axis=axis, keepdims=True)
-    out_d = np.squeeze(m + np.log(z), axis=axis)
-    out = Tensor(out_d, (x,))
-
-    def back(g, a=x, p=e / z, ax=axis):
-        a.accumulate(p * np.expand_dims(g, ax))
-
-    out._backward = back
-    return out
+    p = e / z
+    return Tensor(np.squeeze(m + np.log(z), axis=axis), (x,),
+                  lambda g: x.accumulate(p * np.expand_dims(g, axis)))
 
 
 def concat(parts: list) -> Tensor:
-    """Concatenate along the last axis; the leading axes must agree."""
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1), tuple(parts))
+    """Concatenate along the last axis; the leading axes must agree. Plain-array parts are constants."""
+    parts = tuple(parts)
+    datas = [_value(p) for p in parts]
 
-    def back(g, ps=tuple(parts)):
+    def back(g):
         at = 0
-        for p in ps:
-            s = p.data.shape[-1]
-            p.accumulate(g[..., at:at + s])
-            at += s
+        for p, d in zip(parts, datas):
+            if isinstance(p, Tensor):
+                p.accumulate(g[..., at:at + d.shape[-1]])
+            at += d.shape[-1]
 
-    out._backward = back
-    return out
+    return Tensor(np.concatenate(datas, axis=-1), parts, back)
 
 
 def stack_rows(rows) -> Tensor:
     """Stack equal-length vectors into a matrix, one per row; a Tensor passes through unchanged."""
     if isinstance(rows, Tensor):
         return rows
-    out = Tensor(np.stack([r.data for r in rows]), tuple(rows))
+    rows = tuple(rows)
 
-    def back(g, rs=tuple(rows)):
-        for i, r in enumerate(rs):
+    def back(g):
+        for i, r in enumerate(rows):
             r.accumulate(g[i])
 
-    out._backward = back
-    return out
-
+    return Tensor(np.stack([r.data for r in rows]), rows, back)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fgn.cgs_cnn import CNN_VARIANTS, CgsCnnConfig, encode_sequence
-from fgn.config import EmbeddingConfig, FusionConfig, RunConfig
+from fgn.config import EMBEDDING_KINDS, EmbeddingConfig, FusionConfig, RunConfig
 from fgn.config import TaggerConfig
 from fgn.corpus import TaggedSentence
 from fgn.embedding import write_embedding_file
@@ -16,7 +16,7 @@ from fgn.glyphs import GlyphAtlas, sentence_to_graphs
 from fgn.model import FgnModel
 from fgn.serialize import read_records, write_records
 from fgn.tagger import TAGGER_VARIANTS, LabelScheme, bilstm_encode, nll_loss
-from fgn.tensor import Tensor, concat, sigmoid, softmax, stack_rows
+from fgn.tensor import Parameter, Tensor, concat, sigmoid, softmax, stack_rows
 
 VOCAB = "我爱北京天安门"
 
@@ -406,15 +406,19 @@ def test_sentence_matrix_matches_per_character_pipeline(cnn, fusion, tagger):
             np.testing.assert_allclose(one, whole[t], rtol=0, atol=1e-12)
 
 
-def graph_size(root) -> int:
-    seen = set()
+def graph_nodes(root) -> list:
+    seen = {}
     stack = [root]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
-            seen.add(id(node))
+            seen[id(node)] = node
             stack.extend(node._parents)
-    return len(seen)
+    return list(seen.values())
+
+
+def graph_size(root) -> int:
+    return len(graph_nodes(root))
 
 
 def test_graph_grows_only_with_the_crf_recursion(model):
@@ -425,3 +429,21 @@ def test_graph_grows_only_with_the_crf_recursion(model):
 
     short, long = nodes(4), nodes(12)
     assert long - short <= 8 * (12 - 4), (short, long)
+
+
+@pytest.mark.parametrize("constrain", [False, True])
+@pytest.mark.parametrize("kind", EMBEDDING_KINDS)
+@pytest.mark.parametrize("fusion", FUSION_VARIANTS)
+def test_every_loss_leaf_is_a_parameter(tmp_path, fusion, kind, constrain):
+    # file-backed vectors, the BMES masks and the avg-pool weights enter as constants, not leaves
+    path = tmp_path / "vectors.emb"
+    write_embedding_file(path, [np.random.default_rng(0).normal(size=(4, 8))])
+    config = tiny_config(cnn=small_cnn("cgs"), fusion=replace(tiny_config().fusion, variant=fusion),
+                         tagger=TaggerConfig(constrain_transitions=constrain),
+                         embedding=EmbeddingConfig(kind=kind, path=str(path) if kind == "file_backed" else None))
+    model = FgnModel(config, LabelScheme.from_entity_types(("LOC",)), VOCAB, GlyphAtlas(fallback_seed=3))
+    loss = model.loss([TaggedSentence("我爱北京", ("O", "O", "B-LOC", "E-LOC"), 0)],
+                      training=True, rng=np.random.default_rng(1))
+    leaves = [n for n in graph_nodes(loss) if not n._parents]
+    assert [n.shape for n in leaves if not isinstance(n, Parameter)] == []
+    assert {id(n) for n in leaves} <= {id(p) for p in model.parameters()}

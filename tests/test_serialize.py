@@ -91,6 +91,16 @@ def test_truncated_payload_rejected(tmp_path, rng):
             read_records(path)
 
 
+def test_repeated_record_name_rejected(tmp_path):
+    path = tmp_path / "m.bin"
+    with open(path, "wb") as f:
+        write_array(f, np.array(json.dumps(["a", "a"])))
+        write_array(f, np.zeros(2))
+        write_array(f, np.ones(3))
+    with pytest.raises(OSError, match="m.bin.*repeated"):
+        read_records(path)
+
+
 def test_empty_record_set(tmp_path):
     path = tmp_path / "m.bin"
     write_records(path, {})

@@ -220,6 +220,48 @@ def test_getitem_matches_numpy(rng, index):
     np.testing.assert_allclose(x.grad, expect, rtol=0, atol=1e-15)
 
 
+def graph_leaves(root) -> list:
+    seen, leaves, stack = set(), [], [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+            leaves += [] if node._parents else [node]
+    return leaves
+
+
+# (op, shape of the constant) with the Tensor operand x of shape (3, 4)
+CONSTANT_OPERANDS = {
+    "add": (lambda x, c: x + c, (4,)),
+    "radd": (lambda x, c: c + x, (3, 4)),
+    "mul": (lambda x, c: x * c, (3, 1)),
+    "rmul": (lambda x, c: c * x, (4,)),
+    "rsub": (lambda x, c: c - x, (3, 4)),
+    "matmul": (lambda x, c: x @ c, (4, 2)),
+    "rmatmul": (lambda x, c: c @ x, (2, 3)),
+    "rmatmul_vector": (lambda x, c: c @ x, (3,)),
+    "concat": (lambda x, c: concat([x, c]), (3, 2)),
+    "concat_first": (lambda x, c: concat([c, x]), (3, 1)),
+}
+
+
+@pytest.mark.parametrize("name", CONSTANT_OPERANDS)
+def test_plain_array_operand_is_a_constant(rng, name):
+    op, shape = CONSTANT_OPERANDS[name]
+    base, c = rng.standard_normal((3, 4)), rng.standard_normal(shape)
+    x, ref_x = Parameter(base.copy(), name="x"), Parameter(base.copy(), name="x")
+    out, ref = op(x, c), op(ref_x, Tensor(c))
+    # ndarray <op> Tensor defers to the Tensor instead of building an object array
+    assert isinstance(out, Tensor)
+    np.testing.assert_array_equal(out.data, ref.data)
+    d = rng.standard_normal(ref.shape)
+    (out * d).sum().backward()
+    (ref * Tensor(d)).sum().backward()
+    np.testing.assert_array_equal(x.grad, ref_x.grad)
+    assert graph_leaves(out) == [x]
+
+
 def test_getitem_returns_a_copy():
     x = Parameter(np.arange(6.0).reshape(2, 3), name="x")
     row = x[0]
