@@ -1,9 +1,9 @@
 """Per-character distributed representations behind a provider contract.
 
-Two providers: a trainable lookup table (with a shared UNK row), and frozen
-file-backed vectors replayed from a vector file so contextual embeddings
-produced elsewhere can be used without any encoder living in this codebase.
-The table's rows come back as a Tensor; file-backed vectors come back as a
+Two providers: a lookup table (with a shared UNK row), trained or frozen, and
+frozen file-backed vectors replayed from a vector file, so contextual
+embeddings produced elsewhere need no encoder in this codebase. Trained rows
+come back as a Tensor; frozen rows, a frozen table's or a file's, as a
 constant float64 array, which every op takes without making it a graph leaf.
 A vector file holds two `serialize` records: "lengths" (int64, one character
 count per sentence, in dataset order) and "vectors" (float32, every
@@ -19,7 +19,7 @@ from .tensor import Parameter, Tensor, uniform_fan_init
 
 
 class LookupTableEmbedding:
-    """Trainable table: one row per known character plus a shared UNK row."""
+    """One row per known character plus a shared UNK row; a frozen table embeds as constants."""
 
     def __init__(self, vocab, dim: int, rng: np.random.Generator, frozen: bool = False):
         if dim < 1:
@@ -31,16 +31,16 @@ class LookupTableEmbedding:
         self.dim = dim
         self.frozen = frozen
         rows = len(self.vocab) + 1  # last row is UNK
-        self.table = Parameter(uniform_fan_init(rng, (rows, dim), rows, dim),
-                               name="embed/table", trainable=not frozen)
+        self.table = Parameter(uniform_fan_init(rng, (rows, dim), rows, dim), name="embed/table")
 
     @property
     def unk_row(self) -> int:
         return len(self.vocab)
 
-    def embed(self, sentence_index: int, sentence: str) -> Tensor:
-        """(tau, dim) rows of the table, one per character."""
-        return self.table[np.array([self.index.get(ch, self.unk_row) for ch in sentence], dtype=np.int64)]
+    def embed(self, sentence_index: int, sentence: str) -> Tensor | np.ndarray:
+        """(tau, dim) rows of the table, one per character; a constant array when frozen."""
+        rows = np.array([self.index.get(ch, self.unk_row) for ch in sentence], dtype=np.int64)
+        return self.table.data[rows] if self.frozen else self.table[rows]
 
     def parameters(self) -> list:
         return [self.table]

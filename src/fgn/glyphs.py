@@ -104,20 +104,24 @@ class GlyphAtlas:
 
 
 def load_atlas(path, fallback_seed: int = 0) -> GlyphAtlas:
-    """Load every U+XXXX.pgm in a directory; other filenames are ignored."""
+    """Load every U+XXXX.pgm in a directory; other filenames are ignored, two of one codepoint refused."""
     root = Path(path)
     if not root.is_dir():
         raise OSError("atlas path %s is not a readable directory" % root)
     atlas = GlyphAtlas(fallback_seed=fallback_seed)
+    seen = {}
     for p in sorted(root.iterdir()):
         m = _NAME_RE.fullmatch(p.name)
         if not m:
             continue
+        cp = int(m.group(1), 16)
+        if seen.setdefault(cp, p.name) != p.name:     # U+4E00.pgm and U+04E00.pgm
+            raise ValueError("%s and %s both name U+%04X" % (seen[cp], p.name, cp))
         img = read_pgm(p)
         if img.shape != (GLYPH_SIZE, GLYPH_SIZE):
             raise ValueError("%s: glyph image is %dx%d, need %dx%d"
                              % (p.name, img.shape[1], img.shape[0], GLYPH_SIZE, GLYPH_SIZE))
-        atlas.add(int(m.group(1), 16), img.astype(np.float64) / 255.0)
+        atlas.add(cp, img.astype(np.float64) / 255.0)
     return atlas
 
 

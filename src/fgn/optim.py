@@ -1,4 +1,8 @@
-"""Adam with bias correction."""
+"""Adam with bias correction at the published defaults (Kingma & Ba, arXiv:1412.6980).
+
+Every Parameter takes the one update; frozen rows are graph constants, not
+Parameters. A zero gradient keeps m = v = 0, so its step is 0 / EPS = 0.
+"""
 
 from __future__ import annotations
 
@@ -6,19 +10,16 @@ import numpy as np
 
 
 class AdamState:
-    def __init__(self, params: list, learning_rate: float = 0.002,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list, learning_rate: float = 0.002):
         if learning_rate <= 0:
             raise ValueError("learning rate must be positive, got %r" % (learning_rate,))
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # elements per block: a block of p, grad, m, v and the two scratch buffers stays in a core's cache
 ADAM_BLOCK = 1 << 14
 
@@ -34,7 +35,7 @@ def _row_blocks(*arrays):
 
 
 def adam_step(params: list, state: AdamState) -> None:
-    """Apply one update to every trainable parameter, then zero all gradients.
+    """Apply one update to every parameter, then zero all gradients.
 
     Bit-identical to m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
     p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) as whole-array expressions: the
@@ -46,28 +47,25 @@ def adam_step(params: list, state: AdamState) -> None:
                          % (len(params), len(state.m)))
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for p, m, v in zip(params, state.m, state.v):
-        if p.trainable:
-            for pb, g, mb, vb in _row_blocks(p.data, p.grad, m, v):
-                s1 = np.multiply(g, 1.0 - state.beta1)
-                mb *= state.beta1
-                mb += s1
-                np.multiply(g, 1.0 - state.beta2, out=s1)
-                s1 *= g
-                vb *= state.beta2
-                vb += s1
-                np.divide(mb, bc1, out=s1)
-                s1 *= state.learning_rate
-                s2 = np.divide(vb, bc2)
-                np.sqrt(s2, out=s2)
-                s2 += state.eps
-                s1 /= s2
-                pb -= s1
-                g[...] = 0.0
-        else:
-            p.grad[...] = 0.0
+        for pb, g, mb, vb in _row_blocks(p.data, p.grad, m, v):
+            s1 = np.multiply(g, 1.0 - BETA1)
+            mb *= BETA1
+            mb += s1
+            np.multiply(g, 1.0 - BETA2, out=s1)
+            s1 *= g
+            vb *= BETA2
+            vb += s1
+            np.divide(mb, bc1, out=s1)
+            s1 *= state.learning_rate
+            s2 = np.divide(vb, bc2)
+            np.sqrt(s2, out=s2)
+            s2 += EPS
+            s1 /= s2
+            pb -= s1
+            g[...] = 0.0
 
 
 def zero_grads(params: list) -> None:

@@ -1,14 +1,14 @@
 """Reverse-mode autodiff over numpy float64 arrays.
 
-Tensors are differentiable; plain arrays (and scalars) are constants. Every op
-builds its output with Tensor(data, operands, backward), the one place that
-makes graph edges: the Tensor operands become the parents and constants are
-dropped, so they take no gradient and backward computes none for them. Any op
-that takes a constant takes it on either side, and `ndarray <op> Tensor`
-defers to the Tensor. backward() runs the recorded closures in reverse
-topological order. Gradients accumulate into .grad, which is allocated lazily
-for intermediate nodes and eagerly for Parameters so optimizers can rely on it
-existing.
+Tensors are differentiable; plain arrays (and scalars) are constants, and a
+value held fixed, such as a frozen table's rows, is a plain array: every
+Parameter is trained. Every op builds its output with Tensor(data, operands,
+backward), the one place that makes graph edges: Tensor operands become the
+parents and constants are dropped, so backward computes no gradient for them.
+Any op takes a constant on either side; `ndarray <op> Tensor` defers to the
+Tensor. backward() runs the recorded closures in reverse topological order,
+accumulating into .grad, which is allocated lazily for intermediate nodes and
+eagerly for Parameters so optimizers can rely on it existing.
 """
 
 from __future__ import annotations
@@ -165,22 +165,21 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor tracked by the optimizer.
+    """A named leaf tensor, updated by every optimizer step.
 
-    grad is always a real array (zeros between steps); trainable=False keeps
-    the value fixed under optimization while gradients still flow through it.
+    grad is always a real array (zeros between steps). A Parameter that no
+    loss reaches keeps a zero gradient, and Adam leaves it where it is.
     """
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, data, name: str, trainable: bool = True):
+    def __init__(self, data, name: str):
         super().__init__(data)
         self.name = name
-        self.trainable = trainable
         self.grad = np.zeros(self.data.shape)
 
     def __repr__(self):
-        return "Parameter(%r, shape=%r, trainable=%r)" % (self.name, self.shape, self.trainable)
+        return "Parameter(%r, shape=%r)" % (self.name, self.shape)
 
 
 def uniform_fan_init(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int) -> np.ndarray:
@@ -193,13 +192,9 @@ def uniform_fan_init(rng: np.random.Generator, shape: tuple, fan_in: int, fan_ou
 
 
 def sigmoid_array(xd: np.ndarray) -> np.ndarray:
-    """Overflow-free logistic function on a plain array."""
-    out_d = np.empty_like(xd)
-    pos = xd >= 0
-    out_d[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    out_d[~pos] = ex / (1.0 + ex)
-    return out_d
+    """Overflow-free logistic function on a plain array: exp(-|x|) never overflows."""
+    e = np.exp(-np.abs(xd))
+    return np.where(xd >= 0, 1.0, e) / (1.0 + e)
 
 
 def matmul(x, y) -> Tensor:

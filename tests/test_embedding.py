@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from fgn.config import EmbeddingConfig, FusionConfig, RunConfig
+from fgn.corpus import TaggedSentence
 from fgn.embedding import (FileBackedEmbedding, LookupTableEmbedding,
                            read_embedding_file, write_embedding_file)
+from fgn.glyphs import GlyphAtlas
+from fgn.model import FgnModel
 from fgn.optim import AdamState, adam_step
 from fgn.serialize import write_records
+from fgn.tagger import LabelScheme
 
 
 def test_lookup_same_char_same_row(rng):
@@ -28,14 +33,28 @@ def test_lookup_rejects_duplicate_vocab(rng):
         LookupTableEmbedding(("我", "我"), 8, rng)
 
 
-def test_frozen_table_survives_adam(rng):
+def test_frozen_table_embeds_constant_rows(rng):
     provider = LookupTableEmbedding(("我",), 8, rng, frozen=True)
-    before = provider.table.data.copy()
-    state = AdamState(provider.parameters())
-    for _ in range(10):
-        provider.embed(0, "我")[0].sum().backward()
-        adam_step(provider.parameters(), state)
-    assert np.array_equal(provider.table.data, before)
+    rows = provider.embed(0, "我X")
+    assert isinstance(rows, np.ndarray)
+    assert np.array_equal(rows, provider.table.data[[0, 1]])
+
+
+def test_frozen_table_survives_training():
+    # every Parameter takes Adam's step; the frozen table's is zero, so after
+    # training the table is bit-identical while the rest of the model moves
+    config = RunConfig(seed=3, d_char=8, d_hidden=6, embedding=EmbeddingConfig(frozen=True),
+                       fusion=FusionConfig(k_char=4, s_char=2, k_glyph=32, s_glyph=16))
+    model = FgnModel(config, LabelScheme.from_entity_types(("LOC",)), "我爱北京", GlyphAtlas(fallback_seed=3))
+    params = model.parameters()
+    before = [p.data.copy() for p in params]
+    state, rng = AdamState(params), np.random.default_rng(0)
+    for _ in range(3):
+        model.loss([TaggedSentence("我爱北京", ("O", "O", "B-LOC", "E-LOC"), 0)], training=True, rng=rng).backward()
+        adam_step(params, state)
+    assert params[0] is model.provider.table
+    assert np.array_equal(params[0].data.view(np.int64), before[0].view(np.int64))
+    assert all(not np.array_equal(p.data, b) for p, b in zip(params[1:], before[1:]))
 
 
 def test_trainable_table_moves(rng):

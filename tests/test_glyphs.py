@@ -59,6 +59,14 @@ def test_load_atlas_rejects_wrong_dims(tmp_path):
         load_atlas(tmp_path)
 
 
+def test_load_atlas_rejects_two_files_of_one_codepoint(tmp_path):
+    # U+4E00 and U+04E00 both parse to 0x4E00; neither may silently replace the other
+    write_pgm(tmp_path / "U+4E00.pgm", np.zeros((50, 50)))
+    write_pgm(tmp_path / "U+04E00.pgm", np.ones((50, 50)))
+    with pytest.raises(ValueError, match=r"U\+04E00\.pgm and U\+4E00\.pgm both name U\+4E00"):
+        load_atlas(tmp_path)
+
+
 def test_empty_atlas_fallback_works(tmp_path):
     atlas = load_atlas(tmp_path)
     assert len(atlas) == 0

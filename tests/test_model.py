@@ -447,3 +447,19 @@ def test_every_loss_leaf_is_a_parameter(tmp_path, fusion, kind, constrain):
     leaves = [n for n in graph_nodes(loss) if not n._parents]
     assert [n.shape for n in leaves if not isinstance(n, Parameter)] == []
     assert {id(n) for n in leaves} <= {id(p) for p in model.parameters()}
+
+
+@pytest.mark.parametrize("fusion", FUSION_VARIANTS)
+def test_frozen_table_is_a_constant_of_the_loss(fusion):
+    # a frozen table's rows enter as a plain-array gather: the table is no node of the
+    # loss graph, and backward leaves its gradient at zero
+    config = tiny_config(cnn=small_cnn("cgs"), fusion=replace(tiny_config().fusion, variant=fusion),
+                         embedding=EmbeddingConfig(frozen=True))
+    model = FgnModel(config, LabelScheme.from_entity_types(("LOC",)), VOCAB, GlyphAtlas(fallback_seed=3))
+    table = model.provider.table
+    loss = model.loss([TaggedSentence("我爱北京", ("O", "O", "B-LOC", "E-LOC"), 0)],
+                      training=True, rng=np.random.default_rng(1))
+    assert id(table) not in {id(n) for n in graph_nodes(loss)}
+    loss.backward()
+    assert not table.grad.any()
+    assert all(p.grad.any() for p in model.parameters() if p is not table)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fgn.gradcheck import grad_check
-from fgn.tensor import Parameter, Tensor, concat, logsumexp, sigmoid, softmax, stack_rows, tanh
+from fgn.tensor import (Parameter, Tensor, concat, logsumexp, sigmoid, sigmoid_array, softmax, stack_rows,
+                        tanh)
 
 
 def finite_vec(n, lo=-5, hi=5):
@@ -111,6 +112,25 @@ def test_sigmoid_tanh_values():
     assert tanh(Tensor(np.array([0.0]))).data[0] == 0.0
     big = sigmoid(Tensor(np.array([800.0, -800.0]))).data
     assert np.all(np.isfinite(big)) and big[0] == pytest.approx(1.0)
+
+
+def two_branch_sigmoid(x):
+    """Reference: 1 / (1 + exp(-x)) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere, each on its own mask."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_array_matches_two_branch_form_bit_for_bit(rng):
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 710.0, -745.0, 800.0, -800.0, np.inf, -np.inf])
+    spread = rng.standard_normal(10000) * 10.0 ** rng.uniform(-3, 3, 10000)
+    for x in (edges, spread, spread.reshape(100, 10, 10)):
+        got = sigmoid_array(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got.view(np.int64), two_branch_sigmoid(x).view(np.int64))
 
 
 def test_softmax_uniform():
