@@ -9,6 +9,17 @@ Activations stay channels-last, (tau, H, W, C), from the glyph stack to the
 2x2 grid: the 3-d convolutions read tau as a spatial axis, the 2-d convs and
 pools as a batch axis. The glyph stack enters as a constant array, so no
 gradient is computed for raw pixels.
+
+While a graph is recorded (training, gradient checks) the whole sentence is
+one chunk. Under no_grad (decoding) it is encoded CHUNK rows at a time: the
+3-d convs mix rows [a - 2, b + 2) and only rows [a, b) go on through the
+pyramid. This is exact, not an approximation. A kept row reads mixed rows
+within 1 of it, and those read input rows within 1 more, all inside the halo;
+the rows at the halo's edge, which see zero padding in place of their true
+neighbours, are dropped; and at the ends of the sentence the halo is clipped
+to the same zero padding the whole-sentence conv uses. The pyramid works per
+glyph, so it needs no halo, and cgs_2d, which mixes nothing, pays nothing for
+it. Dropout, when training, runs once on the assembled matrix.
 """
 
 from __future__ import annotations
@@ -19,9 +30,15 @@ import numpy as np
 
 from .glyphs import GLYPH_SIZE
 from .ops import conv, dropout, pool
-from .tensor import Parameter, Tensor, tanh, uniform_fan_init
+from .tensor import Parameter, Tensor, _value, is_recording, tanh, uniform_fan_init
 
 CNN_VARIANTS = ("cgs", "cgs_2d", "cgs_avg")
+# Outside a recorded graph the sentence is encoded CHUNK rows at a time, which
+# bounds the im2col buffers. Row t of the second sequence conv reads rows t-1..t+1
+# of the first, and each of those reads input rows one further out, so a chunk
+# [a, b) is exact from input rows [a - HALO, b + HALO) with HALO = 2 convs x radius 1.
+CHUNK = 16
+HALO = 2
 
 
 @dataclass(frozen=True)
@@ -81,6 +98,26 @@ def init_cgs_params(config: CgsCnnConfig, rng: np.random.Generator) -> dict:
     return params
 
 
+def _mix(x, config: CgsCnnConfig, params: dict):
+    """The two 3-d convs that mix each glyph with its neighbours; cgs_2d mixes nothing."""
+    if config.variant == "cgs_2d":
+        return x
+    x = tanh(conv(x, params["cnn/seq_conv1"]))
+    return tanh(conv(x, params["cnn/seq_conv2"]))       # (n, 50, 50, 8)
+
+
+def _glyph_vectors(x, config: CgsCnnConfig, params: dict) -> Tensor:
+    """The per-glyph 2-d pyramid and 1-d pool: (n, 50, 50, C) -> (n, 64)."""
+    n = x.shape[0]
+    for j in range(1, len(config.pyramid_channels) + 1):
+        x = pool(tanh(conv(x, params["cnn/plane_conv%d" % j])), 2, 2, 2)
+    x = pool(x, 2, 1, 2)                                  # (n, 2, 2, 64)
+    # channel-major, as the 1-d pool windows of every saved model expect
+    x = x.transpose((0, 3, 1, 2)).reshape((n, 2 * 2 * config.tianzige_channels, 1))
+    mode = "avg" if config.variant == "cgs_avg" else "max"
+    return pool(x, config.pool1d_window, config.pool1d_stride, 1, mode).reshape((n, config.glyph_dim))
+
+
 def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict, training: bool = False,
                     rng: np.random.Generator | None = None) -> Tensor:
     """GraphSequence of tau glyphs -> (tau, 64) glyph vectors, one row per character."""
@@ -91,16 +128,15 @@ def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict, training: 
             raise ValueError("graph %d has shape %r, need (%d, %d)"
                              % (i, np.shape(g), GLYPH_SIZE, GLYPH_SIZE))
     tau = len(graphs)
-    stacked = np.stack([np.asarray(g, dtype=np.float64) for g in graphs])
-    x = stacked[..., None]                                # (tau, 50, 50, 1)
-    if config.variant != "cgs_2d":
-        x = tanh(conv(x, params["cnn/seq_conv1"]))
-        x = tanh(conv(x, params["cnn/seq_conv2"]))        # (tau, 50, 50, 8)
-    for j in range(1, len(config.pyramid_channels) + 1):
-        x = pool(tanh(conv(x, params["cnn/plane_conv%d" % j])), 2, 2, 2)
-    x = pool(x, 2, 1, 2)                                  # (tau, 2, 2, 64)
-    # channel-major, as the 1-d pool windows of every saved model expect
-    x = x.transpose((0, 3, 1, 2)).reshape((tau, 2 * 2 * config.tianzige_channels, 1))
-    mode = "avg" if config.variant == "cgs_avg" else "max"
-    x = pool(x, config.pool1d_window, config.pool1d_stride, 1, mode).reshape((tau, config.glyph_dim))
+    stacked = np.stack([np.asarray(g, dtype=np.float64) for g in graphs])[..., None]   # (tau, 50, 50, 1)
+    if is_recording() or tau <= CHUNK:
+        x = _glyph_vectors(_mix(stacked, config, params), config, params)
+    else:
+        out = np.empty((tau, config.glyph_dim))
+        for a in range(0, tau, CHUNK):
+            b = min(a + CHUNK, tau)
+            lo = max(a - HALO, 0)
+            mixed = _value(_mix(stacked[lo:b + HALO], config, params))
+            out[a:b] = _glyph_vectors(mixed[a - lo:b - lo], config, params).data
+        x = Tensor(out)
     return dropout(x, config.dropout_rate, training, rng)

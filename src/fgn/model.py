@@ -7,7 +7,8 @@ as the records of a `serialize` file: meta/model (a JSON string with
 parameter. Loading builds the model with its parameters unset, drawing no
 initial values, and then fills every parameter from the file, so a save/load
 round trip is bit-exact. A sentence runs through the network as one (tau, d)
-matrix per stage.
+matrix per stage. Decoding is forward only: it runs under no_grad, so it keeps
+no graph, and its memory does not grow with the sentence.
 """
 
 from __future__ import annotations
@@ -25,14 +26,16 @@ from .glyphs import GLYPH_SIZE, GlyphAtlas, sentence_to_graphs
 from .serialize import read_records, write_records
 from .tagger import (LabelScheme, bilstm_encode, init_crf_params,
                      init_tagger_params, nll_loss, viterbi_decode)
+from .tensor import no_grad
 
 
 class _NoDraw:
-    """The init generator of `FgnModel.load`: zeros in place of draws, since the file
-    overwrites every parameter."""
+    """The init generator of `FgnModel.load`: a read-only zero view in place of draws,
+    since the file overwrites every parameter. The view takes no memory, so a load
+    writes no initial values it then discards."""
 
     def uniform(self, low, high, size):
-        return np.zeros(size)
+        return np.broadcast_to(0.0, size)
 
 
 class FgnModel:
@@ -98,7 +101,9 @@ class FgnModel:
         return nll_loss(batch, self.crf, self.mask_scheme)
 
     def decode(self, sentence: str, sentence_index: int = 0, provider=None) -> list:
-        hs = self.hidden_states(sentence, sentence_index, training=False, provider=provider)
+        # forward only: no graph is kept, and the encoder runs in bounded chunks
+        with no_grad():
+            hs = self.hidden_states(sentence, sentence_index, training=False, provider=provider)
         path = viterbi_decode(hs, self.crf, self.mask_scheme)
         return [self.scheme.labels[i] for i in path]
 

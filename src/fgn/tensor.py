@@ -9,11 +9,68 @@ Any op takes a constant on either side; `ndarray <op> Tensor` defers to the
 Tensor. backward() runs the recorded closures in reverse topological order,
 accumulating into .grad, which is allocated lazily for intermediate nodes and
 eagerly for Parameters so optimizers can rely on it existing.
+
+Inside a no_grad() scope nothing is recorded: every node the constructor
+builds keeps no parents and no closure, so the buffers a backward would read
+(im2col rows, gate activations) die with the op that made them. Decoding runs
+there; backward() refuses to run inside the scope or from a node that has no
+graph.
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
+
 import numpy as np
+
+_recording = True
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_buffers() -> None:
+    """Let malloc hand the buffers a dropped graph frees to the next step, not back to the kernel.
+
+    A training step allocates tens of MB of im2col rows and activations and frees
+    them when its graph goes. glibc's adaptive thresholds return much of that to
+    the kernel at once (heap trim, one mmap per large buffer), so the next step
+    page-faults it in again: 5000-9000 faults, up to a quarter of a default step.
+    Fixed thresholds keep buffers of up to 32 MB (the most glibc allows) on the
+    heap and up to 128 MB of free heap for reuse. No-op off glibc.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        if not hasattr(libc, "gnu_get_libc_version"):
+            return
+    except (OSError, TypeError):
+        return
+    libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    libc.mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+
+
+_keep_freed_buffers()
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the scope; the previous state returns on exit, also on an exception.
+
+    The state is one flag for the whole process, not one per thread.
+    """
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
+def is_recording() -> bool:
+    """False inside a no_grad() scope."""
+    return _recording
 
 
 def _as_f64(data) -> np.ndarray:
@@ -45,8 +102,11 @@ class Tensor:
         """backward(g) accumulates the output gradient g into the Tensor operands."""
         self.data = _as_f64(data)
         self.grad = None
-        self._parents = tuple(o for o in operands if isinstance(o, Tensor))
-        self._backward = backward
+        if _recording:
+            self._parents = tuple(o for o in operands if isinstance(o, Tensor))
+            self._backward = backward
+        else:
+            self._parents, self._backward = (), None
 
     @property
     def shape(self):
@@ -66,6 +126,11 @@ class Tensor:
     def backward(self) -> None:
         if self.data.shape != ():
             raise ValueError("backward() starts from a scalar, got shape %r" % (self.shape,))
+        if not _recording:
+            raise RuntimeError("backward() inside a no_grad scope: no graph is recorded there")
+        if not self._parents and self._backward is None:
+            raise RuntimeError("backward() from a node with no graph: a constant, or a value built "
+                               "under no_grad, has no gradient to propagate")
         # iterative topo sort: deep LSTM chains would blow the recursion limit
         order = []
         visited = set()

@@ -5,7 +5,8 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from fgn import ops
-from fgn.cgs_cnn import CNN_VARIANTS, CgsCnnConfig, encode_sequence, init_cgs_params
+from fgn.cgs_cnn import CHUNK, CNN_VARIANTS, CgsCnnConfig, encode_sequence, init_cgs_params
+from fgn.tensor import no_grad
 
 
 def encode(graphs, variant="cgs", seed=3):
@@ -155,3 +156,18 @@ def test_backward_skips_raw_pixel_gradient(rng, monkeypatch, variant, data_grads
     y.sum().backward()
     assert len(calls) == data_grads
     assert all(p.grad.any() for p in params.values())
+
+
+@pytest.mark.parametrize("tau", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 2])
+@pytest.mark.parametrize("variant", CNN_VARIANTS)
+def test_no_grad_chunks_match_the_recorded_encode_bit_for_bit(rng, variant, tau):
+    # outside a graph the encoder runs in CHUNK-row chunks with a HALO-row halo;
+    # the halo makes every kept row exact, not merely close
+    config = CgsCnnConfig(variant=variant)
+    params = init_cgs_params(config, np.random.default_rng(5))
+    graphs = random_graphs(rng, tau)
+    recorded = encode_sequence(graphs, config, params)
+    with no_grad():
+        chunked = encode_sequence(graphs, config, params)
+    assert recorded._parents and not chunked._parents
+    assert np.array_equal(chunked.data.view(np.int64), recorded.data.view(np.int64))

@@ -174,6 +174,17 @@ def test_predict_text(workspace, capsys):
     assert any(l.startswith("# entities:") for l in out)
 
 
+def test_predict_long_text(workspace, capsys):
+    # decode is forward only and encodes glyphs in bounded chunks, so a long text costs no more per character
+    text = ("一丁七" * 67)[:200]
+    code = main(["predict", "--model", str(workspace / "model.fgn"), "--text", text])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    labelled = [l for l in out if "\t" in l]
+    assert len(labelled) == 200
+    assert "".join(l.split("\t")[0] for l in labelled) == text
+
+
 def test_predict_data(workspace, capsys):
     code = main(["predict", "--model", str(workspace / "model.fgn"),
                  "--data", str(workspace / "dev.txt")])

@@ -1,6 +1,7 @@
 """End-to-end model assembly, decoding, and model files (records of fgn.serialize)."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,13 +11,14 @@ from fgn.cgs_cnn import CNN_VARIANTS, CgsCnnConfig, encode_sequence
 from fgn.config import EMBEDDING_KINDS, EmbeddingConfig, FusionConfig, RunConfig
 from fgn.config import TaggerConfig
 from fgn.corpus import TaggedSentence
-from fgn.embedding import write_embedding_file
+from fgn.embedding import FileBackedEmbedding, write_embedding_file
 from fgn.fusion import FUSION_VARIANTS, fuse_character, validate_window
 from fgn.glyphs import GlyphAtlas, sentence_to_graphs
 from fgn.model import FgnModel
+from fgn.optim import AdamState, adam_step
 from fgn.serialize import read_records, write_records
 from fgn.tagger import TAGGER_VARIANTS, LabelScheme, bilstm_encode, nll_loss
-from fgn.tensor import Parameter, Tensor, concat, sigmoid, softmax, stack_rows
+from fgn.tensor import Parameter, Tensor, concat, is_recording, no_grad, sigmoid, softmax, stack_rows
 
 VOCAB = "我爱北京天安门"
 
@@ -463,3 +465,79 @@ def test_frozen_table_is_a_constant_of_the_loss(fusion):
     loss.backward()
     assert not table.grad.any()
     assert all(p.grad.any() for p in model.parameters() if p is not table)
+
+
+# ---- forward-only decode ----
+
+
+def test_decode_memory_does_not_grow_with_the_sentence():
+    # decode keeps no graph and encodes glyphs in bounded chunks, so a sentence
+    # 2.5x longer must not cost 2.5x the peak memory
+    model = FgnModel(RunConfig(), LabelScheme.from_entity_types(("LOC",)), VOCAB,
+                     GlyphAtlas(fallback_seed=3))
+
+    def peak(tau):
+        tracemalloc.start()
+        try:
+            model.decode((VOCAB * tau)[:tau])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(32), peak(80)
+    assert long <= 1.3 * short, (short, long)
+
+
+@pytest.mark.parametrize("cnn", CNN_VARIANTS)
+def test_no_grad_hidden_states_leave_no_graph(cnn):
+    model = FgnModel(tiny_config(cnn=small_cnn(cnn)), LabelScheme.from_entity_types(("LOC",)), VOCAB,
+                     GlyphAtlas(fallback_seed=3))
+    recorded = model.hidden_states(VOCAB * 3)
+    with no_grad():
+        hs = model.hidden_states(VOCAB * 3)
+    assert graph_size(recorded) > 1
+    assert graph_size(hs) == 1
+    assert np.array_equal(hs.data, recorded.data)
+
+
+def train_losses(model, steps, between):
+    """Losses of `steps` Adam steps, calling between(model) before each step."""
+    params = model.parameters()
+    state, rng = AdamState(params), np.random.default_rng(4)
+    sentence = TaggedSentence("我爱北京", ("O", "O", "B-LOC", "E-LOC"), 0)
+    losses = []
+    for _ in range(steps):
+        between(model)
+        loss = model.loss([sentence], training=True, rng=rng)
+        loss.backward()
+        losses.append(loss.item())
+        adam_step(params, state)
+    return losses
+
+
+@pytest.mark.parametrize("cnn", CNN_VARIANTS)
+def test_decodes_do_not_perturb_training(cnn):
+    config = tiny_config(cnn=small_cnn(cnn))
+    scheme = LabelScheme.from_entity_types(("LOC",))
+    missing = FileBackedEmbedding([np.zeros((4, config.d_char))], config.d_char)
+
+    def decodes(model):
+        # nonzero gradients, as if a loss were mid-accumulation, survive a decode untouched
+        grads = []
+        for i, p in enumerate(model.parameters()):
+            p.grad[...] = i + 1.0
+            grads.append(p.grad.copy())
+        model.decode(VOCAB * 3)
+        with pytest.raises(ValueError, match="no stored vectors"):
+            model.decode("我爱北京", 5, provider=missing)   # raises inside the no_grad scope
+        assert is_recording()
+        for p, g in zip(model.parameters(), grads):
+            assert np.array_equal(p.grad, g)
+            p.grad[...] = 0.0
+
+    def fresh():
+        return FgnModel(config, scheme, VOCAB, GlyphAtlas(fallback_seed=3))
+
+    plain = train_losses(fresh(), 3, lambda m: None)
+    interleaved = train_losses(fresh(), 3, decodes)
+    assert np.array_equal(np.array(interleaved).view(np.int64), np.array(plain).view(np.int64))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fgn.gradcheck import grad_check
-from fgn.tensor import (Parameter, Tensor, concat, logsumexp, sigmoid, sigmoid_array, softmax, stack_rows,
-                        tanh)
+from fgn.tensor import (Parameter, Tensor, concat, is_recording, logsumexp, no_grad, sigmoid, sigmoid_array,
+                        softmax, stack_rows, tanh)
 
 
 def finite_vec(n, lo=-5, hi=5):
@@ -339,3 +339,46 @@ def test_grads_stay_c_ordered_through_views(rng):
 def test_scalar_truediv_only():
     with pytest.raises(TypeError):
         Tensor(np.ones(2)) / Tensor(np.ones(2))
+
+
+def test_no_grad_records_no_graph(rng):
+    x = Parameter(rng.standard_normal((3, 4)), name="x")
+    w = rng.standard_normal((4, 2))
+    with no_grad():
+        y = (tanh(x @ w) * 2.0).sum()
+    assert y._parents == () and y._backward is None
+    # the same value a recorded graph computes
+    recorded = (tanh(x @ w) * 2.0).sum()
+    assert recorded._parents and y.item() == recorded.item()
+
+
+def test_no_grad_scope_nests_and_survives_exceptions():
+    assert is_recording()
+    with no_grad():
+        with no_grad():
+            assert not is_recording()
+        assert not is_recording()
+    assert is_recording()
+    with pytest.raises(KeyError):
+        with no_grad():
+            raise KeyError("inside")
+    assert is_recording()
+    with pytest.raises(KeyError):
+        with no_grad():
+            with no_grad():
+                raise KeyError("nested")
+    assert is_recording()
+
+
+def test_backward_refuses_a_missing_graph(rng):
+    x = Parameter(rng.standard_normal(3), name="x")
+    with no_grad():
+        loss = (x * x).sum()
+        with pytest.raises(RuntimeError, match="no_grad"):
+            (x * x).sum().backward()
+    # a loss built under the scope, or a bare constant, has no graph to run backward over
+    with pytest.raises(RuntimeError, match="no graph"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="no graph"):
+        Tensor(np.float64(2.0)).backward()
+    assert not x.grad.any()
