@@ -19,7 +19,7 @@ the rows at the halo's edge, which see zero padding in place of their true
 neighbours, are dropped; and at the ends of the sentence the halo is clipped
 to the same zero padding the whole-sentence conv uses. The pyramid works per
 glyph, so it needs no halo, and cgs_2d, which mixes nothing, pays nothing for
-it. Dropout, when training, runs once on the assembled matrix.
+it. Dropout, given a generator, runs once on the assembled matrix.
 """
 
 from __future__ import annotations
@@ -118,9 +118,9 @@ def _glyph_vectors(x, config: CgsCnnConfig, params: dict) -> Tensor:
     return pool(x, config.pool1d_window, config.pool1d_stride, 1, mode).reshape((n, config.glyph_dim))
 
 
-def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict, training: bool = False,
+def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict,
                     rng: np.random.Generator | None = None) -> Tensor:
-    """GraphSequence of tau glyphs -> (tau, 64) glyph vectors, one row per character."""
+    """tau glyphs -> (tau, 64) glyph vectors, one row per character; rng, if given, draws dropout."""
     if len(graphs) == 0:
         raise ValueError("encode_sequence needs at least one graph")
     for i, g in enumerate(graphs):
@@ -139,4 +139,4 @@ def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict, training: 
             mixed = _value(_mix(stacked[lo:b + HALO], config, params))
             out[a:b] = _glyph_vectors(mixed[a - lo:b - lo], config, params).data
         x = Tensor(out)
-    return dropout(x, config.dropout_rate, training, rng)
+    return dropout(x, config.dropout_rate, rng)

@@ -79,7 +79,7 @@ def _build_dropout():
     rng = np.random.default_rng(105)
     x = _p(rng, (4, 5), "x")
     r = rng.standard_normal((4, 5))
-    return (lambda: _dot(dropout(x, 0.3, True, np.random.default_rng(77)), r)), [x]
+    return (lambda: _dot(dropout(x, 0.3, np.random.default_rng(77)), r)), [x]
 
 
 def _build_conv(seed: int, rank: int):
@@ -113,8 +113,7 @@ def _build_encode_sequence():
     params = init_cgs_params(config, np.random.default_rng(0))
     graphs = [rng.random((50, 50)) for _ in range(2)]
     dirs = rng.standard_normal((2, 64))
-    return (lambda: _dot(encode_sequence(graphs, config, params, training=False), dirs)), \
-        list(params.values())
+    return (lambda: _dot(encode_sequence(graphs, config, params), dirs)), list(params.values())
 
 
 def _build_lstm_step():

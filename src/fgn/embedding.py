@@ -55,11 +55,15 @@ class FileBackedEmbedding:
         self.frozen = True
 
     @classmethod
-    def from_file(cls, path) -> "FileBackedEmbedding":
+    def from_file(cls, path, dim: int) -> "FileBackedEmbedding":
+        """The vectors of a vector file, which must be dim wide: the d_char of the model that reads them."""
         records = read_embedding_file(path)
         if not records:
             raise ValueError("embedding file %s holds no sentences" % path)
-        return cls(records, records[0].shape[1])
+        if records[0].shape[1] != dim:
+            raise ValueError("embedding file %s holds %d-d vectors but the config says d_char=%d"
+                             % (path, records[0].shape[1], dim))
+        return cls(records, dim)
 
     def embed(self, sentence_index: int, sentence: str) -> np.ndarray:
         """The stored (tau, dim) record of the sentence, as a constant array."""

@@ -1,8 +1,8 @@
 """Glyph atlas: one 50x50 grayscale image per character.
 
 Images live on disk as binary PGM files named U+XXXX.pgm. Characters without
-an image get a cached pseudo-random matrix seeded by (fallback_seed,
-codepoint) so every run sees the same values.
+an image get a pseudo-random matrix seeded by (fallback_seed, codepoint),
+drawn anew at each lookup: every run sees the same values, and nothing grows.
 """
 
 from __future__ import annotations
@@ -66,37 +66,25 @@ class GlyphAtlas:
     """Codepoint -> 50x50 matrix in [0,1], with deterministic fallbacks."""
 
     def __init__(self, entries: dict | None = None, fallback_seed: int = 0):
-        self.height = GLYPH_SIZE
-        self.width = GLYPH_SIZE
         self.fallback_seed = int(fallback_seed)
         if self.fallback_seed < 0:
             raise ValueError("glyph fallback_seed must be >= 0, got %d" % self.fallback_seed)
         self.entries: dict[int, np.ndarray] = {}
-        self._fallback: dict[int, np.ndarray] = {}
         for cp, img in (entries or {}).items():
             self.add(cp, img)
 
     def add(self, codepoint: int, image: np.ndarray) -> None:
-        image = np.asarray(image, dtype=np.float64)
-        if image.shape != (self.height, self.width):
+        image = np.array(image, dtype=np.float64)     # a copy the caller cannot change
+        if image.shape != (GLYPH_SIZE, GLYPH_SIZE):
             raise ValueError("glyph for U+%04X has shape %r, need (%d, %d)"
-                             % (codepoint, image.shape, self.height, self.width))
-        image = image.copy()
+                             % (codepoint, image.shape, GLYPH_SIZE, GLYPH_SIZE))
         image.flags.writeable = False
         self.entries[int(codepoint)] = image
 
     def lookup(self, ch: str) -> np.ndarray:
-        cp = ord(ch)
-        img = self.entries.get(cp)
-        if img is not None:
-            return img
-        img = self._fallback.get(cp)
-        if img is None:
-            rng = np.random.default_rng((self.fallback_seed, cp))
-            img = rng.random((self.height, self.width))
-            img.flags.writeable = False
-            # setdefault keeps the first-written matrix under concurrent lookups
-            img = self._fallback.setdefault(cp, img)
+        img = self.entries.get(ord(ch))
+        if img is None:   # a fresh seeded draw, kept nowhere
+            img = np.random.default_rng((self.fallback_seed, ord(ch))).random((GLYPH_SIZE, GLYPH_SIZE))
         return img
 
     def __len__(self) -> int:

@@ -57,10 +57,7 @@ class FgnModel:
         else:
             if config.embedding.path is None:
                 raise ValueError("file_backed embeddings need embedding.path in the config")
-            self.provider = FileBackedEmbedding.from_file(config.embedding.path)
-            if self.provider.dim != config.d_char:
-                raise ValueError("embedding file holds %d-d vectors but the config says d_char=%d"
-                                 % (self.provider.dim, config.d_char))
+            self.provider = FileBackedEmbedding.from_file(config.embedding.path, config.d_char)
         self.cnn_params = init_cgs_params(config.cnn, rng)
         if config.fusion.variant == "slice_attention":
             self.fusion_params = init_fusion_params(config.fusion.k_char * config.fusion.k_glyph, rng)
@@ -80,22 +77,25 @@ class FgnModel:
         params.extend(self.crf.parameters())
         return params
 
-    def hidden_states(self, sentence: str, sentence_index: int = 0, training: bool = False,
+    def hidden_states(self, sentence: str, sentence_index: int = 0,
                       rng: np.random.Generator | None = None, provider=None):
-        """The (tau, d_h) hidden states the CRF scores."""
+        """The (tau, d_h) hidden states the CRF scores; dropout runs exactly when rng is given."""
         provider = provider if provider is not None else self.provider
         char_vecs = provider.embed(sentence_index, sentence)
         graphs = sentence_to_graphs(self.atlas, sentence)
-        glyph_vecs = encode_sequence(graphs, self.config.cnn, self.cnn_params, training, rng)
+        glyph_vecs = encode_sequence(graphs, self.config.cnn, self.cnn_params, rng)
         x = fuse_character(char_vecs, glyph_vecs, self.config.window_spec(), self.fusion_params,
                            variant=self.config.fusion.variant,
                            include_parts=self.config.fusion.include_parts)
-        return bilstm_encode(x, self.tagger_params, training, rng)
+        return bilstm_encode(x, self.tagger_params, rng)
 
     def loss(self, sentences: list, training: bool = True, rng: np.random.Generator | None = None):
+        """Summed CRF loss of the batch; training draws dropout masks from rng, which it then needs."""
+        if training and rng is None:
+            raise ValueError("a training loss draws dropout masks and needs an rng")
         batch = []
         for s in sentences:
-            hs = self.hidden_states(s.chars, s.index, training, rng)
+            hs = self.hidden_states(s.chars, s.index, rng if training else None)
             y = [self.scheme.label_index(lab) for lab in s.labels]
             batch.append((hs, y))
         return nll_loss(batch, self.crf, self.mask_scheme)
@@ -103,7 +103,7 @@ class FgnModel:
     def decode(self, sentence: str, sentence_index: int = 0, provider=None) -> list:
         # forward only: no graph is kept, and the encoder runs in bounded chunks
         with no_grad():
-            hs = self.hidden_states(sentence, sentence_index, training=False, provider=provider)
+            hs = self.hidden_states(sentence, sentence_index, provider=provider)
         path = viterbi_decode(hs, self.crf, self.mask_scheme)
         return [self.scheme.labels[i] for i in path]
 
@@ -126,7 +126,7 @@ class FgnModel:
         records = {
             "meta/model": np.array(json.dumps(meta)),
             "atlas/codepoints": np.array(codepoints, dtype=np.int64),
-            "atlas/images": images.reshape((len(codepoints), self.atlas.height, self.atlas.width)),
+            "atlas/images": images.reshape((len(codepoints), GLYPH_SIZE, GLYPH_SIZE)),
         }
         for p in self.parameters():
             records["param/" + p.name] = p.data

@@ -114,14 +114,12 @@ def pool(x: Tensor, window: int, stride: int, r: int, mode: str = "max") -> Tens
     return Tensor(y, (x,), back)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when not training or rate is 0."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout with a mask drawn from rng; no generator, or rate 0, means no dropout."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1), got %r" % (rate,))
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
     mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
     return Tensor(x.data * mask, (x,), lambda g: x.accumulate(g * mask))
 

@@ -2,6 +2,8 @@
 
 Every Parameter takes the one update; frozen rows are graph constants, not
 Parameters. A zero gradient keeps m = v = 0, so its step is 0 / EPS = 0.
+AdamState gives the gradient buffers it reads and clears, a zero one to each
+Parameter that has none; np.zeros leaves their pages untouched until a step.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ class AdamState:
             raise ValueError("learning rate must be positive, got %r" % (learning_rate,))
         self.learning_rate = learning_rate
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        for p in params:
+            if p.grad is None:
+                p.grad = np.zeros(p.data.shape)
+        self.m = [np.zeros(p.data.shape) for p in params]
+        self.v = [np.zeros(p.data.shape) for p in params]
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -71,7 +76,7 @@ def adam_step(params: list, state: AdamState) -> None:
 def zero_grads(params: list) -> None:
     for p in params:
         if p.grad is None:
-            p.grad = np.zeros_like(p.data)
+            p.grad = np.zeros(p.data.shape)
         else:
             p.grad[...] = 0.0
 

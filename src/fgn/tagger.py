@@ -130,9 +130,8 @@ def init_tagger_params(variant: str, d_in: int, d_hidden: int, rng: np.random.Ge
                         dropout_rate=dropout_rate)
 
 
-def bilstm_encode(x: Tensor, params: TaggerParams, training: bool = False,
-                  rng: np.random.Generator | None = None) -> Tensor:
-    """(tau, D) inputs -> (tau, d_h) hidden states: both directions summed, forward only, or pass-through."""
+def bilstm_encode(x: Tensor, params: TaggerParams, rng: np.random.Generator | None = None) -> Tensor:
+    """(tau, D) -> (tau, d_h): both directions summed, forward only, or pass-through; rng draws dropout."""
     if len(x) == 0:
         raise ValueError("bilstm_encode needs a non-empty input sequence")
     if params.variant == "none":
@@ -141,7 +140,7 @@ def bilstm_encode(x: Tensor, params: TaggerParams, training: bool = False,
     if params.variant == "bilstm":
         h = h + lstm_sequence(x, params.backward_cell, reverse=True)
     # one (tau, d_h) mask draws the same rng stream as tau per-row draws
-    return dropout(h, params.dropout_rate, training, rng)
+    return dropout(h, params.dropout_rate, rng)
 
 
 # ---- CRF scoring ----

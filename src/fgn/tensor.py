@@ -7,8 +7,10 @@ backward), the one place that makes graph edges: Tensor operands become the
 parents and constants are dropped, so backward computes no gradient for them.
 Any op takes a constant on either side; `ndarray <op> Tensor` defers to the
 Tensor. backward() runs the recorded closures in reverse topological order,
-accumulating into .grad, which is allocated lazily for intermediate nodes and
-eagerly for Parameters so optimizers can rely on it existing.
+accumulating into .grad, which every node, a Parameter too, allocates at its
+first gradient (an optimizer gives the buffers it reads and clears). Then it
+spends the graph: every closure and parent link goes, freeing what they hold,
+so a second backward() from the root raises instead of doubling gradients.
 
 Inside a no_grad() scope nothing is recorded: every node the constructor
 builds keeps no parents and no closure, so the buffers a backward would read
@@ -129,8 +131,8 @@ class Tensor:
         if not _recording:
             raise RuntimeError("backward() inside a no_grad scope: no graph is recorded there")
         if not self._parents and self._backward is None:
-            raise RuntimeError("backward() from a node with no graph: a constant, or a value built "
-                               "under no_grad, has no gradient to propagate")
+            raise RuntimeError("backward() from a node with no graph: a constant, a value built under "
+                               "no_grad, or a root an earlier backward() spent has none to propagate")
         # iterative topo sort: deep LSTM chains would blow the recursion limit
         order = []
         visited = set()
@@ -151,6 +153,10 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+        # spend the graph after the last closure: closures freed node by node, amid the
+        # gradient allocations, left a heap on which each later decode page-faulted
+        for node in order:
+            node._backward, node._parents = None, ()
 
     # ---- arithmetic ----
 
@@ -232,8 +238,9 @@ class Tensor:
 class Parameter(Tensor):
     """A named leaf tensor, updated by every optimizer step.
 
-    grad is always a real array (zeros between steps). A Parameter that no
-    loss reaches keeps a zero gradient, and Adam leaves it where it is.
+    Like any node it has no gradient until one reaches it; the optimizer gives
+    each Parameter a zero buffer it clears after every step, so a Parameter no
+    loss reaches keeps a zero gradient there, and Adam leaves it where it is.
     """
 
     __slots__ = ("name",)
@@ -241,7 +248,6 @@ class Parameter(Tensor):
     def __init__(self, data, name: str):
         super().__init__(data)
         self.name = name
-        self.grad = np.zeros(self.data.shape)
 
     def __repr__(self):
         return "Parameter(%r, shape=%r)" % (self.name, self.shape)

@@ -55,11 +55,7 @@ def dev_provider(config: RunConfig):
         return None
     if config.embedding.dev_path is None:
         raise ValueError("file_backed embeddings need embedding.dev_path to evaluate the dev set")
-    provider = FileBackedEmbedding.from_file(config.embedding.dev_path)
-    if provider.dim != config.d_char:
-        raise ValueError("dev embedding file %s holds %d-d vectors but the config expects d_char=%d"
-                         % (config.embedding.dev_path, provider.dim, config.d_char))
-    return provider
+    return FileBackedEmbedding.from_file(config.embedding.dev_path, config.d_char)
 
 
 def predict_labels(model: FgnModel, sentences: list, provider=None) -> list:

@@ -78,8 +78,7 @@ def test_dropout_only_in_training(rng):
     params = init_cgs_params(config, np.random.default_rng(3))
     graphs = random_graphs(rng, 2)
     plain = [v.data for v in encode_sequence(graphs, config, params)]
-    dropped = [v.data for v in encode_sequence(graphs, config, params,
-                                               training=True, rng=np.random.default_rng(0))]
+    dropped = [v.data for v in encode_sequence(graphs, config, params, rng=np.random.default_rng(0))]
     assert not all(np.array_equal(a, b) for a, b in zip(plain, dropped))
 
 

@@ -72,7 +72,7 @@ def test_file_backed_eval_and_predict_use_dev_vectors(file_backed_workspace, cap
     root, dev_set = file_backed_workspace
     capsys.readouterr()
     model = FgnModel.load(root / "model.fgn")
-    want = predict_labels(model, dev_set, FileBackedEmbedding.from_file(root / "dev.emb"))
+    want = predict_labels(model, dev_set, FileBackedEmbedding.from_file(root / "dev.emb", 8))
 
     code = main(["eval", "--model", str(root / "model.fgn"), "--data", str(root / "dev.txt")])
     out = capsys.readouterr().out

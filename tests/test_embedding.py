@@ -83,7 +83,7 @@ def test_file_backed_embed(tmp_path, rng):
     records = [rng.standard_normal((2, 4)).astype(np.float32)]
     path = tmp_path / "e.bin"
     write_embedding_file(path, records)
-    provider = FileBackedEmbedding.from_file(path)
+    provider = FileBackedEmbedding.from_file(path, 4)
     assert provider.dim == 4 and provider.frozen
     vecs = provider.embed(0, "我爱")
     # the stored vectors are a constant: a plain array, not a graph leaf
@@ -94,7 +94,7 @@ def test_file_backed_embed(tmp_path, rng):
 def test_file_backed_length_mismatch_names_sentence(tmp_path, rng):
     path = tmp_path / "e.bin"
     write_embedding_file(path, [rng.standard_normal((3, 4))])
-    provider = FileBackedEmbedding.from_file(path)
+    provider = FileBackedEmbedding.from_file(path, 4)
     with pytest.raises(ValueError, match="sentence 0"):
         provider.embed(0, "我爱")
     with pytest.raises(ValueError):
@@ -105,7 +105,15 @@ def test_file_backed_rejects_empty(tmp_path):
     path = tmp_path / "e.bin"
     write_embedding_file(path, [])
     with pytest.raises(ValueError):
-        FileBackedEmbedding.from_file(path)
+        FileBackedEmbedding.from_file(path, 4)
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_file_backed_rejects_vectors_of_another_width(tmp_path, rng, dim):
+    path = tmp_path / "e.bin"
+    write_embedding_file(path, [rng.standard_normal((2, 4))])
+    with pytest.raises(ValueError, match=r"e\.bin holds 4-d vectors but the config says d_char=%d" % dim):
+        FileBackedEmbedding.from_file(path, dim)
 
 
 def test_truncated_file_rejected(tmp_path, rng):

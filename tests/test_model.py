@@ -15,7 +15,7 @@ from fgn.embedding import FileBackedEmbedding, write_embedding_file
 from fgn.fusion import FUSION_VARIANTS, fuse_character, validate_window
 from fgn.glyphs import GlyphAtlas, sentence_to_graphs
 from fgn.model import FgnModel
-from fgn.optim import AdamState, adam_step
+from fgn.optim import AdamState, adam_step, zero_grads
 from fgn.serialize import read_records, write_records
 from fgn.tagger import TAGGER_VARIANTS, LabelScheme, bilstm_encode, nll_loss
 from fgn.tensor import Parameter, Tensor, concat, is_recording, no_grad, sigmoid, softmax, stack_rows
@@ -52,14 +52,17 @@ def test_loss_is_finite_scalar(model):
 def test_loss_backward_reaches_every_parameter(model):
     sentences = [TaggedSentence("北京", ("B-LOC", "E-LOC"), 0)]
     params = model.parameters()
-    for p in params:
-        p.grad[...] = 0.0
+    zero_grads(params)
     loss = model.loss(sentences, training=False)
     loss.backward()
     untouched = [p.name for p in params if not np.any(p.grad != 0.0)]
     assert untouched == []
-    for p in params:
-        p.grad[...] = 0.0
+    zero_grads(params)
+
+
+def test_training_loss_needs_an_rng(model):
+    with pytest.raises(ValueError, match="needs an rng"):
+        model.loss([TaggedSentence("北京", ("B-LOC", "E-LOC"), 0)], training=True, rng=None)
 
 
 def test_decode_emits_scheme_labels(model):
@@ -106,6 +109,16 @@ def test_save_load_roundtrip_is_bit_exact(model, tmp_path):
         np.testing.assert_array_equal(pa.data, pb.data)
     for sent in ("北京", "我爱北京天安门", "鑫垚犇"):
         assert loaded.decode(sent) == model.decode(sent)
+
+
+def test_loaded_model_holds_no_gradients(model, tmp_path):
+    # a model loaded to decode allocates no gradient buffer; an optimizer gives them
+    path = tmp_path / "model.fgn"
+    model.save(path)
+    loaded = FgnModel.load(path)
+    assert all(p.grad is None for p in loaded.parameters())
+    loaded.decode("我爱北京")
+    assert all(p.grad is None for p in loaded.parameters())
 
 
 def test_save_embeds_atlas(tmp_path):
@@ -334,26 +347,25 @@ def reference_fuse(c_v, g_v, spec, params, variant, include_parts):
     return concat([c_v, g_v, f_v]) if include_parts else f_v
 
 
-def reference_hidden_rows(model, sentence, training, rng):
+def reference_hidden_rows(model, sentence, rng):
     """The sentence as a list of per-character rows at every stage, stacked only for the LSTM."""
     table = model.provider.table
     char_rows = [table[model.provider.index.get(ch, model.provider.unk_row)] for ch in sentence]
     glyphs = encode_sequence(sentence_to_graphs(model.atlas, sentence), model.config.cnn,
-                             model.cnn_params, training, rng)
+                             model.cnn_params, rng)
     glyph_rows = [glyphs[t] for t in range(len(sentence))]
     xs = [reference_fuse(c, g, model.config.window_spec(), model.fusion_params,
                          model.config.fusion.variant, model.config.fusion.include_parts)
           for c, g in zip(char_rows, glyph_rows)]
-    h = bilstm_encode(stack_rows(xs), model.tagger_params, training, rng)
+    h = bilstm_encode(stack_rows(xs), model.tagger_params, rng)
     return [h[t] for t in range(len(sentence))]
 
 
-def loss_and_grads(model, hidden, sentence, training, seed):
+def loss_and_grads(model, hidden, sentence, dropout_seed):
     params = model.parameters()
-    for p in params:
-        p.grad[...] = 0.0
-    rng = np.random.default_rng(seed) if training else None
-    hs = hidden(sentence.chars, training, rng)
+    zero_grads(params)
+    rng = np.random.default_rng(dropout_seed) if dropout_seed is not None else None
+    hs = hidden(sentence.chars, rng)
     loss = nll_loss([(hs, [model.scheme.label_index(lab) for lab in sentence.labels])], model.crf)
     loss.backward()
     return np.stack([h.data for h in hs]), loss.item(), [p.grad.copy() for p in params]
@@ -381,18 +393,18 @@ def test_sentence_matrix_matches_per_character_pipeline(cnn, fusion, tagger):
             for p in model.fusion_params.parameters()[1:]:
                 p.data[...] = rng.normal(size=p.shape)
 
-        def hidden(chars, training, rng_):
-            return model.hidden_states(chars, training=training, rng=rng_)
+        def hidden(chars, rng_):
+            return model.hidden_states(chars, rng=rng_)
 
-        def reference(chars, training, rng_):
-            return reference_hidden_rows(model, chars, training, rng_)
+        def reference(chars, rng_):
+            return reference_hidden_rows(model, chars, rng_)
 
         # dropout off at three lengths; dropout on (cnn 0.2, tagger 0.5) with equal seeds at the longest
-        for tau, training in ((1, False), (2, False), (7, False), (7, True)):
+        for tau, dropout_seed in ((1, None), (2, None), (7, None), (7, 5)):
             labels = tuple(scheme.labels[int(v)] for v in rng.integers(0, scheme.label_count, size=tau))
             sentence = TaggedSentence(VOCAB[:tau], labels, 0)
-            h_new, loss_new, grads_new = loss_and_grads(model, hidden, sentence, training, 5)
-            h_ref, loss_ref, grads_ref = loss_and_grads(model, reference, sentence, training, 5)
+            h_new, loss_new, grads_new = loss_and_grads(model, hidden, sentence, dropout_seed)
+            h_ref, loss_ref, grads_ref = loss_and_grads(model, reference, sentence, dropout_seed)
             np.testing.assert_allclose(h_new, h_ref, rtol=1e-10, atol=1e-12)
             assert abs(loss_new - loss_ref) <= 1e-10 * max(1.0, abs(loss_ref))
             for p, g_new, g_ref in zip(model.parameters(), grads_new, grads_ref):
@@ -454,7 +466,7 @@ def test_every_loss_leaf_is_a_parameter(tmp_path, fusion, kind, constrain):
 @pytest.mark.parametrize("fusion", FUSION_VARIANTS)
 def test_frozen_table_is_a_constant_of_the_loss(fusion):
     # a frozen table's rows enter as a plain-array gather: the table is no node of the
-    # loss graph, and backward leaves its gradient at zero
+    # loss graph, and backward gives it no gradient
     config = tiny_config(cnn=small_cnn("cgs"), fusion=replace(tiny_config().fusion, variant=fusion),
                          embedding=EmbeddingConfig(frozen=True))
     model = FgnModel(config, LabelScheme.from_entity_types(("LOC",)), VOCAB, GlyphAtlas(fallback_seed=3))
@@ -463,7 +475,7 @@ def test_frozen_table_is_a_constant_of_the_loss(fusion):
                       training=True, rng=np.random.default_rng(1))
     assert id(table) not in {id(n) for n in graph_nodes(loss)}
     loss.backward()
-    assert not table.grad.any()
+    assert table.grad is None
     assert all(p.grad.any() for p in model.parameters() if p is not table)
 
 

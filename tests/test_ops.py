@@ -346,14 +346,14 @@ def test_pool_full_axis_reduces_each_trailing_matrix(rng):
 
 def test_dropout_identity_paths(rng):
     x = Tensor(rng.random(20))
-    assert dropout(x, 0.5, training=False, rng=None) is x
-    assert dropout(x, 0.0, training=True, rng=rng) is x
+    assert dropout(x, 0.5, rng=None) is x
+    assert dropout(x, 0.0, rng=rng) is x
 
 
 def test_dropout_mask_reproducible(rng):
     x = Tensor(np.ones(100))
-    a = dropout(x, 0.4, training=True, rng=np.random.default_rng(3)).data
-    b = dropout(x, 0.4, training=True, rng=np.random.default_rng(3)).data
+    a = dropout(x, 0.4, rng=np.random.default_rng(3)).data
+    b = dropout(x, 0.4, rng=np.random.default_rng(3)).data
     assert np.array_equal(a, b)
     survivors = a[a != 0]
     assert survivors == pytest.approx(np.full(survivors.shape, 1.0 / 0.6))
@@ -361,7 +361,7 @@ def test_dropout_mask_reproducible(rng):
 
 def test_dropout_rejects_bad_rate(rng):
     with pytest.raises(ValueError):
-        dropout(Tensor(np.ones(3)), 1.0, training=True, rng=rng)
+        dropout(Tensor(np.ones(3)), 1.0, rng=rng)
 
 
 def test_lstm_zero_params_zero_state():

@@ -22,9 +22,10 @@ def test_first_step_magnitude_is_learning_rate(rng):
     for scale in (1e-3, 1.0, 1e4):
         p = make_param(rng, shape=(5,))
         g = rng.uniform(0.5, 2.0, 5) * rng.choice([-1.0, 1.0], 5) * scale
+        state = AdamState([p], learning_rate=0.002)
         p.grad[:] = g
         before = p.data.copy()
-        adam_step([p], AdamState([p], learning_rate=0.002))
+        adam_step([p], state)
         step = p.data - before
         assert np.allclose(np.abs(step), 0.002, rtol=1e-4)
         assert np.array_equal(np.sign(step), -np.sign(g))
@@ -51,9 +52,24 @@ def test_zero_gradient_steps_are_exact_no_ops(rng):
 
 def test_grads_zeroed_after_step(rng):
     p = make_param(rng)
+    state = AdamState([p])
     p.grad[:] = 3.0
-    adam_step([p], AdamState([p]))
+    adam_step([p], state)
     assert not p.grad.any()
+
+
+def test_state_gives_missing_gradients_and_keeps_present_ones(rng):
+    # a Parameter has no gradient until one reaches it; the optimizer gives a zero
+    # buffer to each that has none and keeps one that exists, bit for bit
+    fresh, held = make_param(rng, shape=(3, 2), name="fresh"), make_param(rng, name="held")
+    assert fresh.grad is None and held.grad is None
+    g = rng.standard_normal(held.shape)
+    g[0] = -0.0
+    held.grad = g
+    bits = g.copy().view(np.int64)
+    AdamState([fresh, held])
+    assert fresh.grad.shape == (3, 2) and fresh.grad.dtype == np.float64 and not fresh.grad.any()
+    assert held.grad is g and np.array_equal(held.grad.view(np.int64), bits)
 
 
 def test_repeated_steps_converge_quadratic(rng):

@@ -6,6 +6,7 @@ from numpy.random import default_rng
 
 from fgn.gradcheck import grad_check
 from fgn.ops import dropout, init_lstm_params, lstm_step
+from fgn.optim import zero_grads
 from fgn.tagger import (ENUMERATION_GUARD, MASK_PENALTY, CrfParams,
                         LabelScheme, TaggerParams, bilstm_encode,
                         brute_force_best, brute_force_loglik,
@@ -152,7 +153,7 @@ def test_forward_only_is_causal():
     assert not np.array_equal(alt[3].data, base[3])
 
 
-def reference_encode(x, params, training=False, rng=None):
+def reference_encode(x, params, rng=None):
     """The per-character encoder: one lstm_step node chain per direction, dropout per row."""
     xs = [x[t] for t in range(len(x))]
 
@@ -169,17 +170,14 @@ def reference_encode(x, params, training=False, rng=None):
     if params.variant == "bilstm":
         back = run(list(reversed(xs)), params.backward_cell)
         hs = [f + b for f, b in zip(hs, reversed(back))]
-    if training and params.dropout_rate > 0.0:
-        hs = [dropout(h, params.dropout_rate, training, rng) for h in hs]
-    return hs
+    return [dropout(h, params.dropout_rate, rng) for h in hs]
 
 
 def _encode_and_grads(encode, xs, params, crf, y, dropout_seed):
     rng = default_rng(dropout_seed) if dropout_seed is not None else None
     leaves = list(xs) + params.parameters() + crf.parameters()
-    for p in leaves:
-        p.grad[...] = 0.0
-    hs = encode(stack_rows(xs), params, training=rng is not None, rng=rng)
+    zero_grads(leaves)
+    hs = encode(stack_rows(xs), params, rng=rng)
     loss = nll_loss([(hs, y)], crf)
     loss.backward()
     return np.stack([h.data for h in hs]), loss.item(), [p.grad.copy() for p in leaves]

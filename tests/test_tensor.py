@@ -275,11 +275,11 @@ def test_plain_array_operand_is_a_constant(rng, name):
     # ndarray <op> Tensor defers to the Tensor instead of building an object array
     assert isinstance(out, Tensor)
     np.testing.assert_array_equal(out.data, ref.data)
+    assert graph_leaves(out) == [x]
     d = rng.standard_normal(ref.shape)
     (out * d).sum().backward()
     (ref * Tensor(d)).sum().backward()
     np.testing.assert_array_equal(x.grad, ref_x.grad)
-    assert graph_leaves(out) == [x]
 
 
 def test_getitem_returns_a_copy():
@@ -381,4 +381,23 @@ def test_backward_refuses_a_missing_graph(rng):
         loss.backward()
     with pytest.raises(RuntimeError, match="no graph"):
         Tensor(np.float64(2.0)).backward()
-    assert not x.grad.any()
+    assert x.grad is None
+
+
+def test_backward_spends_its_graph(rng):
+    # a second backward over one graph would add the intermediate gradients of
+    # the first again (x.grad grew to 6x the first); it raises
+    x = Parameter(rng.standard_normal(3), name="x")
+    hidden = tanh(x) * 3.0
+    loss = tanh(hidden).sum()
+    loss.backward()
+    first = x.grad.copy()
+    want = (1.0 - np.tanh(hidden.data) ** 2) * 3.0 * (1.0 - np.tanh(x.data) ** 2)
+    np.testing.assert_allclose(first, want, rtol=1e-15)
+    assert loss._parents == () and hidden._parents == () and hidden._backward is None
+    with pytest.raises(RuntimeError, match="no graph"):
+        loss.backward()
+    assert np.array_equal(x.grad, first)
+    # a fresh graph over the same leaf runs as before
+    tanh(tanh(x) * 3.0).sum().backward()
+    np.testing.assert_allclose(x.grad, 2.0 * first, rtol=1e-15)
