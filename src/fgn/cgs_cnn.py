@@ -7,8 +7,10 @@ pooling yield a (tau, 64) matrix, one glyph vector per character. tanh follows
 every convolution to keep values bounded for the downstream outer product.
 Activations stay channels-last, (tau, H, W, C), from the glyph stack to the
 2x2 grid: the 3-d convolutions read tau as a spatial axis, the 2-d convs and
-pools as a batch axis. The glyph stack enters as a constant array, so no
-gradient is computed for raw pixels.
+pools as a batch axis. Each 3-d conv runs as one 2-d im2col over (H, W) with
+its three taps along tau stacked as output channels, then sums the shifted
+rows (ops.conv), so its im2col has 9 C_in columns, not 27 C_in. The glyph
+stack enters as a constant array, so no gradient is computed for raw pixels.
 
 While a graph is recorded (training, gradient checks) the whole sentence is
 one chunk. Under no_grad (decoding) it is encoded CHUNK rows at a time: the

@@ -2,13 +2,19 @@
 
 One channels-last convolution and one pool, (..., *S, C) with any leading
 batch axes, serve every rank; both read their windows from one strided view.
-The conv runs as im2col + one matmul so the BLAS does the heavy lifting. The
-weight gradient is one GEMM against the saved im2col rows; the data gradient
-is the same correlation with the kernel flipped on every spatial axis and
-in/out channels swapped, exact for stride 1, odd kernels, same padding. The
-pool's backward is one strided slice add per window offset. The LSTM runs a
-whole sentence as one graph node with hand-written backpropagation through
-time; the per-step cell stays as its reference.
+The conv runs as im2col + one matmul so the BLAS does the heavy lifting. Over
+r > 2 spatial axes the im2col covers the last two only: the taps along the
+outer axes are stacked as output channels of one 2-d correlation, and the
+output sums shifted slices of its result, one per stacked tap (MEC, Cho &
+Brand, arXiv:1706.06873), so the 3-d sequence convs copy k times fewer
+columns. The weight gradient is one GEMM against the saved im2col rows (one
+per stacked tap for a folded conv); the data gradient is the same correlation
+with the kernel flipped on every spatial axis and in/out channels swapped,
+exact for stride 1, odd kernels, same padding. Max-pool is a running maximum
+over the strided slices of the window view, one per window offset, with no
+window copied; the pool's backward is one strided slice add per offset. The
+LSTM runs a whole sentence as one graph node with hand-written
+backpropagation through time; the per-step cell stays as its reference.
 """
 
 from __future__ import annotations
@@ -51,12 +57,52 @@ def _corr_same(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (cols @ wmat.T).reshape(x.shape[:-1] + w.shape[:1]), cols
 
 
+def _tap_spans(extents: tuple, k: int):
+    """Each tap of a k-wide kernel over the given axes: (its scan index, output rows, input rows).
+
+    Along an axis of n cells, tap j adds input row t + j - k // 2 to output row t,
+    for every t that keeps both rows in [0, n); the rest is zero padding.
+    """
+    p = k // 2
+    for i, tap in enumerate(np.ndindex((k,) * len(extents))):
+        # stop >= start: the span is empty when the tap reads no row (n < k)
+        out = [slice(max(p - j, 0), max(min(n + p - j, n), p - j, 0)) for n, j in zip(extents, tap)]
+        yield i, tuple(out), tuple(slice(o.start + j - p, o.stop + j - p) for o, j in zip(out, tap))
+
+
+def _corr_folded(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_corr_same with one im2col over the last two spatial axes, however many there are.
+
+    For r > 2 the taps along the first r - 2 spatial axes are stacked as output
+    channels: one 2-d correlation with a (k^(r-2) C_out, C_in, k, k) kernel, the
+    outer axes as batch axes, gives z, and y sums the shifted slices of z, one
+    per stacked tap (MEC, Cho & Brand, arXiv:1706.06873). The im2col is
+    k^(r-2) times narrower. Returns (y, cols) with cols the 2-d im2col rows.
+    """
+    r, k, c_out = w.ndim - 2, w.shape[-1], w.shape[0]
+    if r <= 2:
+        return _corr_same(x, w)
+    f = r - 2
+    stacked = np.moveaxis(w, (0, 1), (f, f + 1)).reshape((k ** f * c_out,) + w.shape[1:2] + w.shape[-2:])
+    z, cols = _corr_same(x, stacked)
+    z = z.reshape(x.shape[:-1] + (k ** f, c_out))
+    centre = k ** f // 2                            # the tap that reads every row
+    y = z[..., centre, :].copy()
+    for i, out, src in _tap_spans(x.shape[-r - 1:-3], k):
+        if i != centre:
+            y[(...,) + out + (slice(None),) * 3] += z[(...,) + src + (slice(None),) * 2 + (i, slice(None))]
+    return y, cols
+
+
 def conv(x: Tensor | np.ndarray, kernels: Parameter) -> Tensor:
     """Convolution over r = kernels.ndim - 2 spatial axes: stride 1, same padding, odd cubic kernels, no bias.
 
     x: (..., *S, C_in), channels last, any leading batch axes; kernels: (C_out,
     C_in, k, ..., k). Returns (..., *S, C_out). A plain array x is a constant:
-    it gets no data gradient, so backward computes only the kernel's.
+    it gets no data gradient, so backward computes only the kernel's. A kernel
+    of r > 2 axes runs folded (_corr_folded); its weight gradient is one GEMM
+    per stacked tap: the tap's input rows of the 2-d im2col against its output
+    rows of g, taken a cache-sized block of rows at a time.
     """
     w = kernels.data
     r = w.ndim - 2
@@ -67,15 +113,35 @@ def conv(x: Tensor | np.ndarray, kernels: Parameter) -> Tensor:
         raise ValueError("conv input must be (..., %d spatial axes, C), got %r" % (r, xd.shape))
     if xd.shape[-1] != w.shape[1]:
         raise ValueError("conv channel mismatch: input has %d, kernels expect %d" % (xd.shape[-1], w.shape[1]))
-    y, cols = _corr_same(xd, w)
+    y, cols = _corr_folded(xd, w)
 
     def back(g):
-        gmat = g.reshape(-1, w.shape[0])
-        dw = (gmat.T @ cols).reshape((w.shape[0],) + w.shape[2:] + w.shape[1:2])
-        kernels.accumulate(np.moveaxis(dw, -1, 1))
+        c_out, k, f = w.shape[0], w.shape[-1], r - 2
+        if r <= 2:
+            dw = (g.reshape(-1, c_out).T @ cols).reshape((c_out,) + w.shape[2:] + w.shape[1:2])
+            kernels.accumulate(np.moveaxis(dw, -1, 1))
+        else:
+            # per stacked tap, its input rows of the 2-d im2col against its output rows
+            # of g, a block of the first folded axis at a time: a block of <= ~1 MB stays
+            # in cache for all k taps, where whole-axis GEMMs read it k times from memory
+            rows = cols.reshape(xd.shape[:-1] + cols.shape[-1:])
+            n, width = xd.shape[-r - 1], cols.shape[-1]
+            block = max(2, (1 << 20) * n // max(rows.nbytes + g.nbytes, 1))
+            spans = list(_tap_spans(xd.shape[-r - 1:-3], k))
+            every = (slice(None),) * 3
+            dw = np.zeros((k ** f, width, c_out))
+            for a in range(0, n, block):
+                for i, out, src in spans:
+                    lo, hi = max(out[0].start, a), min(out[0].stop, a + block)
+                    if lo < hi:
+                        d = src[0].start - out[0].start
+                        gi = g[(..., slice(lo, hi)) + out[1:] + every].reshape(-1, c_out)
+                        dw[i] += rows[(..., slice(lo + d, hi + d)) + src[1:] + every].reshape(-1, width).T @ gi
+            # (k, ..., k, C_in, C_out) -> (C_out, C_in, k, ..., k)
+            kernels.accumulate(dw.reshape((k,) * r + w.shape[1:2] + (c_out,)).transpose((r + 1, r) + tuple(range(r))))
         if isinstance(x, Tensor):
             flipped = np.flip(w.swapaxes(0, 1), axis=tuple(range(2, w.ndim)))
-            x.accumulate(_corr_same(g, flipped)[0])
+            x.accumulate(_corr_folded(g, flipped)[0])
 
     return Tensor(y, (x, kernels), back)
 
@@ -83,10 +149,13 @@ def conv(x: Tensor | np.ndarray, kernels: Parameter) -> Tensor:
 def pool(x: Tensor, window: int, stride: int, r: int, mode: str = "max") -> Tensor:
     """Max or average pooling over the r axes before the channels of (..., *S, C).
 
-    Cubic windows, no padding, any leading batch axes. Max ties route the
-    gradient to the first cell of the window in scan order. The backward adds
-    one strided slice per window offset, last offset first, so every input cell
-    sums the gradients of its windows in output scan order.
+    Cubic windows, no padding, any leading batch axes. Max is a running
+    np.maximum over the window^r strided slices of the window view, one per
+    offset, so no window is copied. Its backward routes each gradient to the
+    first offset in scan order whose slice equals the max, the cell argmax
+    would pick. The backward adds one strided slice per window offset, last
+    offset first, so every input cell sums the gradients of its windows in
+    output scan order.
     """
     if mode not in ("max", "avg"):
         raise ValueError("pool mode must be 'max' or 'avg', got %r" % (mode,))
@@ -98,17 +167,30 @@ def pool(x: Tensor, window: int, stride: int, r: int, mode: str = "max") -> Tens
         raise ValueError("pool window %d exceeds input %r" % (window, x.shape))
     win = _windows(x.data, r, window, stride)
     cells = win.shape[:-r - 1]                      # (..., *S_out)
-    flat = np.moveaxis(win, -1, len(cells)).reshape(cells + (x.data.shape[-1], window ** r))
-    am = np.argmax(flat, axis=-1) if mode == "max" else None
-    y = flat.mean(axis=-1) if am is None else np.take_along_axis(flat, am[..., None], axis=-1)[..., 0]
+    offsets = list(np.ndindex((window,) * r))
+    slices = [win[(...,) + at + (slice(None),)] for at in offsets]      # (..., *S_out, C) views
+    if mode == "max":
+        y = slices[0].copy()
+        for s in slices[1:]:
+            np.maximum(y, s, out=y)
+    else:
+        y = np.moveaxis(win, -1, len(cells)).reshape(cells + (x.data.shape[-1], -1)).mean(axis=-1)
 
     def back(g):
+        if mode == "max":
+            taken = np.zeros(y.shape, dtype=bool)
+            hits = []
+            for s in slices[:-1]:
+                hit = s == y
+                np.greater(hit, taken, out=hit)         # equal to the max, and no earlier offset was
+                taken |= hit
+                hits.append(hit)
+            hits.append(~taken)                         # the max is somewhere in the window
+        share = g / window ** r if mode == "avg" else None
         gx = np.zeros(x.shape)
-        share = g / window ** r if am is None else None
-        for o in range(window ** r - 1, -1, -1):
-            at = np.unravel_index(o, (window,) * r)
-            span = tuple(slice(i, i + stride * (n - 1) + 1, stride) for i, n in zip(at, cells[-r:]))
-            gx[(...,) + span + (slice(None),)] += share if am is None else np.where(am == o, g, 0.0)
+        for o in range(len(offsets) - 1, -1, -1):
+            span = tuple(slice(i, i + stride * (n - 1) + 1, stride) for i, n in zip(offsets[o], cells[-r:]))
+            gx[(...,) + span + (slice(None),)] += share if share is not None else np.where(hits[o], g, 0.0)
         x.accumulate(gx)
 
     return Tensor(y, (x,), back)

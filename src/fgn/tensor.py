@@ -10,7 +10,11 @@ Tensor. backward() runs the recorded closures in reverse topological order,
 accumulating into .grad, which every node, a Parameter too, allocates at its
 first gradient (an optimizer gives the buffers it reads and clears). Then it
 spends the graph: every closure and parent link goes, freeing what they hold,
-so a second backward() from the root raises instead of doubling gradients.
+and each node that had them is marked spent, so it is never taken for a leaf.
+A later backward() whose graph reaches a spent node raises before it writes
+any gradient, whether from the same root (which would double the gradients)
+or from another root sharing nodes with the spent graph (whose gradient would
+stop there).
 
 Inside a no_grad() scope nothing is recorded: every node the constructor
 builds keeps no parents and no closure, so the buffers a backward would read
@@ -96,7 +100,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward", "_spent")
     # numpy operators return NotImplemented, so `ndarray <op> Tensor` runs the Tensor's reflected op
     __array_ufunc__ = None
 
@@ -104,6 +108,7 @@ class Tensor:
         """backward(g) accumulates the output gradient g into the Tensor operands."""
         self.data = _as_f64(data)
         self.grad = None
+        self._spent = False
         if _recording:
             self._parents = tuple(o for o in operands if isinstance(o, Tensor))
             self._backward = backward
@@ -144,6 +149,9 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._spent:
+                raise RuntimeError("backward() reached a node an earlier backward() spent: build the "
+                                   "graph anew for each backward()")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -156,7 +164,8 @@ class Tensor:
         # spend the graph after the last closure: closures freed node by node, amid the
         # gradient allocations, left a heap on which each later decode page-faulted
         for node in order:
-            node._backward, node._parents = None, ()
+            if node._parents or node._backward is not None:
+                node._backward, node._parents, node._spent = None, (), True
 
     # ---- arithmetic ----
 

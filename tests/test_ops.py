@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fgn import ops
 from fgn.gradcheck import grad_check
 from fgn.ops import LstmCellParams, conv, dropout, init_lstm_params, lstm_step, pool
 from fgn.tensor import Parameter, Tensor
@@ -35,6 +36,20 @@ def conv3d_loops(x, w):
                 for j in range(wd):
                     y[o, f, i, j] = (xp[:, f:f + k, i:i + k, j:j + k] * w[o]).sum()
     return y
+
+
+def conv3d_loops_adjoint(x, w, d):
+    """The gradients (dx, dw) of sum(conv3d_loops(x, w) * d), by the same loops."""
+    co, k = w.shape[0], w.shape[2]
+    c, t, h, wd = x.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)))
+    dxp = np.zeros(xp.shape)
+    dw = np.zeros(w.shape)
+    for o, f, i, j in np.ndindex(co, t, h, wd):
+        dw[o] += d[o, f, i, j] * xp[:, f:f + k, i:i + k, j:j + k]
+        dxp[:, f:f + k, i:i + k, j:j + k] += d[o, f, i, j] * w[o]
+    return dxp[:, p:p + t, p:p + h, p:p + wd], dw
 
 
 def last(x):
@@ -113,6 +128,37 @@ def test_conv_rejects_bad_shapes(rng):
         conv(Tensor(rng.random((4, 2))), Parameter(np.zeros((1, 2, 3, 3)), name="w"))
     with pytest.raises(ValueError, match="spatial"):
         conv(Tensor(rng.random((4, 4, 2))), Parameter(np.zeros((1, 2, 3, 3, 3)), name="w"))
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("tau", [1, 2, 3, 6])
+def test_folded_conv3d_matches_the_loop_oracle_and_its_adjoint(rng, tau, k, lead):
+    # the taps along tau are stacked as output channels; with tau < k some of
+    # them fall wholly outside the input and must add nothing
+    x = rng.standard_normal(lead + (2, tau, 3, 4))
+    w = rng.standard_normal((3, 2, k, k, k))
+    d = rng.standard_normal(lead + (3, tau, 3, 4))
+    xt, wt = Parameter(np.moveaxis(x, len(lead), -1), name="x"), Parameter(w, name="w")
+    y = conv(xt, wt)
+    (y * Tensor(np.moveaxis(d, len(lead), -1))).sum().backward()
+    items = list(zip(x.reshape((-1,) + x.shape[len(lead):]), d.reshape((-1,) + d.shape[len(lead):])))
+    want_y = np.stack([conv3d_loops(xi, w) for xi, _ in items]).reshape(d.shape)
+    adjoints = [conv3d_loops_adjoint(xi, w, di) for xi, di in items]
+    want_dx = np.stack([dx for dx, _ in adjoints]).reshape(x.shape)
+    np.testing.assert_allclose(y.data, np.moveaxis(want_y, len(lead), -1), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(xt.grad, np.moveaxis(want_dx, len(lead), -1), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(wt.grad, sum(dw for _, dw in adjoints), rtol=1e-12, atol=1e-12)
+
+
+def test_conv3d_runs_only_2d_correlations(rng, monkeypatch):
+    # forward and data gradient each run one 2-d im2col, the taps along the
+    # first axis stacked as output channels
+    inner, kernels = ops._corr_same, []
+    monkeypatch.setattr(ops, "_corr_same", lambda x, w: kernels.append(w.shape) or inner(x, w))
+    x = Parameter(rng.standard_normal((4, 5, 5, 2)), name="x")
+    conv(x, Parameter(rng.standard_normal((3, 2, 3, 3, 3)), name="w")).sum().backward()
+    assert kernels == [(9, 2, 3, 3), (6, 3, 3, 3)]
 
 
 def test_conv3d_delta_kernel_identity(rng):
@@ -265,6 +311,26 @@ def test_pool_matches_channels_first_oracles(rng, r, window, stride, mode, lead)
         assert np.array_equal(got, want)
     else:
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def maxpool_argmax(x, window, stride, r):
+    """Max-pool as argmax over copied windows and take_along_axis: the formula the running maximum replaced."""
+    win = ops._windows(x, r, window, stride)
+    cells = win.shape[:-r - 1]
+    flat = np.moveaxis(win, -1, len(cells)).reshape(cells + (x.shape[-1], window ** r))
+    return np.take_along_axis(flat, np.argmax(flat, axis=-1)[..., None], axis=-1)[..., 0]
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+@pytest.mark.parametrize("window,stride", POOL_SHAPES)
+@pytest.mark.parametrize("r", [1, 2])
+def test_maxpool_matches_the_argmax_formula_bit_for_bit(rng, r, window, stride, lead):
+    # few distinct values force ties; (2, 1), (3, 1) and (4, 3) overlap their windows
+    x = rng.integers(-2, 3, lead + (9, 8)[-r:] + (3,)).astype(np.float64)
+    got = pool(Tensor(x), window, stride, r).data
+    want = maxpool_argmax(x, window, stride, r)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("mode", ["max", "avg"])

@@ -401,3 +401,21 @@ def test_backward_spends_its_graph(rng):
     # a fresh graph over the same leaf runs as before
     tanh(tanh(x) * 3.0).sum().backward()
     np.testing.assert_allclose(x.grad, 2.0 * first, rtol=1e-15)
+
+
+def test_backward_refuses_a_graph_that_reaches_a_spent_node():
+    # other shares h with the spent graph of loss: its gradient would stop at h,
+    # which lost its closure and parents, and x.grad would silently miss its part
+    x = Parameter(np.array([0.3, -0.2]), name="x")
+    h = tanh(x) * 3.0
+    loss = tanh(h).sum()
+    other = (h * 2.0).sum()
+    loss.backward()
+    first = x.grad.copy()
+    with pytest.raises(RuntimeError, match="spent"):
+        other.backward()
+    assert np.array_equal(x.grad, first)
+    assert other.grad is None and h.grad is not None
+    # leaves are never spent: a fresh graph from x runs
+    (tanh(x) * 2.0).sum().backward()
+    np.testing.assert_allclose(x.grad, first + 2.0 * (1.0 - np.tanh(x.data) ** 2), rtol=1e-15)
