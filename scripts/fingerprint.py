@@ -13,9 +13,12 @@ file-backed vectors are drawn from a seed and written by the script itself.
     PYTHONPATH=src python3 scripts/fingerprint.py --compare old.fp new.fp
 
 --compare prints one line (arrays compared, how many differ, the largest
-relative difference), then one line per record kind that differs. To
-compare two checkouts, run one copy of the script with each checkout's
-src on PYTHONPATH.
+scaled difference), then one line per record kind that differs. An array's
+scaled difference is its largest |a - b| divided by the largest magnitude in
+either array, the scale on which a refactor must stay within 1e-10: a
+per-element ratio would blow up on elements that cancel to near zero. It
+exits 1 when any array differs. To compare two checkouts, run one copy of
+the script with each checkout's src on PYTHONPATH.
 """
 
 import argparse
@@ -101,26 +104,25 @@ def write_fingerprint(path) -> int:
     return len(records)
 
 
-def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest |a - b| / max(|a|, |b|) over the elements; inf when the shapes or kinds differ."""
+def scaled_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest |a - b| over the elements / the largest |a| or |b|; inf when the shapes or kinds differ."""
     if a.shape != b.shape or a.dtype.kind != b.dtype.kind:
         return float("inf")
     a, b = a.astype(np.float64), b.astype(np.float64)
-    diff = np.abs(a - b)
-    scale = np.maximum(np.abs(a), np.abs(b))
-    return float(np.max(diff / np.where(diff == 0.0, 1.0, scale), initial=0.0))
+    diff = np.max(np.abs(a - b), initial=0.0)
+    return float(diff / max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))) if diff else 0.0
 
 
 def compare(path_a, path_b) -> int:
     a, b = read_records(path_a), read_records(path_b)
     names = sorted(set(a) | set(b))
-    kinds = {}     # record name without its cell -> (arrays that differ, largest relative difference)
+    kinds = {}     # record name without its cell -> (arrays that differ, largest scaled difference)
     for name in names:
         if name in a and name in b:
             if a[name].dtype == b[name].dtype and a[name].shape == b[name].shape \
                     and a[name].tobytes() == b[name].tobytes():
                 continue
-            rel = relative_difference(a[name], b[name])
+            rel = scaled_difference(a[name], b[name])
         else:
             rel = float("inf")
         kind = name.split("/", 1)[1]
@@ -128,10 +130,10 @@ def compare(path_a, path_b) -> int:
         kinds[kind] = (count + 1, max(top, rel))
     differ = sum(count for count, _ in kinds.values())
     worst = max((top for _, top in kinds.values()), default=0.0)
-    print("compared %d arrays: %d differ, largest relative difference %.3g (%d only in one file)"
+    print("compared %d arrays: %d differ, largest scaled difference %.3g (%d only in one file)"
           % (len(names), differ, worst, len(set(a) ^ set(b))))
     for kind, (count, top) in sorted(kinds.items()):
-        print("  %s: %d differ, largest relative difference %.3g" % (kind, count, top))
+        print("  %s: %d differ, largest scaled difference %.3g" % (kind, count, top))
     return 1 if differ else 0
 
 

@@ -182,15 +182,18 @@ def _build_bilstm_crf():
     return loss, tg.parameters() + crf.parameters() + [x]
 
 
-def _build_crf_passthrough():
-    rng = np.random.default_rng(114)
-    scheme = LabelScheme.from_entity_types(["PER"])
-    crf = init_crf_params(scheme.label_count, 4, np.random.default_rng(6))
-    for p in crf.parameters():
-        p.data[...] = 0.5 * rng.standard_normal(p.data.shape)
-    hs = [_p(rng, (4,), "h%d" % t) for t in range(3)]
-    y = [scheme.label_index(lab) for lab in ("B-PER", "E-PER", "O")]
-    return (lambda: nll_loss([(hs, y)], crf, scheme)), crf.parameters() + hs
+def _build_crf_masked(seed: int, labels: tuple, rows: bool):
+    """The BMES-masked CRF alone on hidden rows or one (tau, 4) matrix; a forbidden gold transition checks the mask."""
+    def build():
+        rng = np.random.default_rng(seed)
+        scheme = LabelScheme.from_entity_types(["PER"])
+        crf = init_crf_params(scheme.label_count, 4, np.random.default_rng(6))
+        for p in crf.parameters():
+            p.data[...] = 0.5 * rng.standard_normal(p.data.shape)
+        hs = [_p(rng, (4,), "h%d" % t) for t in range(len(labels))] if rows else _p(rng, (len(labels), 4), "hs")
+        y = [scheme.label_index(lab) for lab in labels]
+        return (lambda: nll_loss([(hs, y)], crf, scheme)), crf.parameters() + (hs if rows else [hs])
+    return build
 
 
 def _build_full_fgn():
@@ -226,7 +229,9 @@ CHECKS = (
     CheckSpec("fuse_character_attention", ("fusion",), _build_fusion(112, ())),
     CheckSpec("fuse_sentence_attention", ("fusion",), _build_fusion(116, (3,))),
     CheckSpec("bilstm_crf_nll", ("tagger",), _build_bilstm_crf),
-    CheckSpec("crf_passthrough_masked", ("tagger",), _build_crf_passthrough),
+    CheckSpec("crf_passthrough_masked", ("tagger",), _build_crf_masked(114, ("B-PER", "E-PER", "O"), True)),
+    CheckSpec("crf_sentence_masked", ("tagger",),
+              _build_crf_masked(117, ("S-PER", "O", "M-PER", "E-PER", "B-PER", "E-PER"), False)),
     CheckSpec("full_fgn_loss", ("full",), _build_full_fgn, max_coords=3),
 )
 

@@ -2,22 +2,24 @@
 
 The two LSTM directions are combined by elementwise sum, so the hidden size
 stays d_h. The CRF scores a path as emission + transition terms plus a
-learned start score for the first label; the partition function runs in log
-space. Brute-force enumeration twins of the CRF functions serve as oracles
-for small instances. A sentence's hidden states are one (tau, d_h) matrix;
-the CRF functions also take a list of tau row vectors.
+learned start score for the first label. The likelihood is one graph node on
+the score table Viterbi reads: the alpha and beta recursions run in log space,
+and their node and pair marginals make the gradient. Brute-force enumeration
+twins of the CRF functions serve as oracles for small instances. A sentence's
+hidden states are one (tau, d_h) matrix; the CRF functions also take a list of
+tau row vectors.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .ops import LstmCellParams, dropout, init_lstm_params, lstm_sequence
-from .tensor import Parameter, Tensor, logsumexp, stack_rows, uniform_fan_init
+from .tensor import Parameter, Tensor, stack_rows, uniform_fan_init
 
 TAGGER_VARIANTS = ("bilstm", "lstm", "none")
 
@@ -146,61 +148,63 @@ def bilstm_encode(x: Tensor, params: TaggerParams, rng: np.random.Generator | No
 # ---- CRF scoring ----
 
 
-def _effective_scores(crf: CrfParams, scheme: LabelScheme | None):
-    """Transition/start tensors, with the BMES validity mask added when a scheme is given."""
-    if scheme is None:
-        return crf.transitions, crf.start_scores
-    tmask, smask = scheme.transition_penalties()
-    return crf.transitions + tmask, crf.start_scores + smask
+def _score_table(hs, crf: CrfParams, scheme: LabelScheme | None, penalty: float = MASK_PENALTY):
+    """Emission, transition and start arrays of the likelihood, Viterbi and the oracles; masked given a scheme."""
+    tmask, smask = (0.0, 0.0) if scheme is None else scheme.transition_penalties(penalty)
+    emissions = stack_rows(hs).data @ crf.emission_weight.data.T
+    return emissions, crf.transitions.data + tmask, crf.start_scores.data + smask
 
 
-def _check_labels(y, label_count: int, tau: int) -> list:
-    y = [int(v) for v in y]
+def _check_labels(y, label_count: int, tau: int) -> np.ndarray:
+    y = list(y)
     if len(y) != tau:
         raise ValueError("label sequence length %d does not match %d hidden states" % (len(y), tau))
     for v in y:
-        if not 0 <= v < label_count:
-            raise ValueError("label index %d outside [0, %d)" % (v, label_count))
-    return y
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < label_count:
+            raise ValueError("label %r is not an integer index in [0, %d)" % (v, label_count))
+    return np.array(y, dtype=np.int64)
 
 
 def crf_log_likelihood(hs, y, crf: CrfParams, scheme: LabelScheme | None = None) -> Tensor:
-    """log P(y | sentence) under the linear-chain CRF; hs is (tau, d_h) or a list of tau rows."""
-    h = stack_rows(hs)
-    tau = len(h)
-    label_count = crf.label_count
-    y = np.array(_check_labels(y, label_count, tau), dtype=np.int64)
-    emissions = h @ crf.emission_weight.transpose((1, 0))      # (tau, L)
-    trans, start = _effective_scores(crf, scheme)
+    """log P(y | sentence) under the linear-chain CRF, one graph node; hs is (tau, d_h) or a list of tau rows.
 
-    score = emissions[np.arange(tau), y].sum() + start[y[0]] + trans[y[:-1], y[1:]].sum()
-    alpha = start + emissions[0]
-    for t in range(1, tau):
-        alpha = logsumexp(alpha.reshape((label_count, 1)) + trans + emissions[t], axis=0)
-    log_z = logsumexp(alpha, axis=0)
-    return score - log_z
+    The alpha and beta recursions run in log space on the score table Viterbi
+    reads; log Z comes from alpha. The gradient is the observed counts minus
+    the marginals: one-hot(y) minus the node marginals for the emissions and,
+    at t = 0, the start scores; the pair counts of y minus the summed pair
+    marginals for the transitions.
+    """
+    h = stack_rows(hs)
+    e, trans, start = _score_table(h, crf, scheme)
+    tau, label_count = e.shape
+    y = _check_labels(y, label_count, tau)
+    alpha, beta = np.empty((tau, label_count)), np.zeros((tau, label_count))
+    alpha[0] = start + e[0]
+    with np.errstate(invalid="ignore"):     # a NaN score gives a NaN loss, which training reports
+        for t in range(1, tau):
+            alpha[t] = np.logaddexp.reduce(alpha[t - 1][:, None] + trans, axis=0) + e[t]
+            beta[-1 - t] = np.logaddexp.reduce(trans + (e[-t] + beta[-t]), axis=1)
+        log_z = np.logaddexp.reduce(alpha[-1])
+    score = e[np.arange(tau), y].sum() + start[y[0]] + trans[y[:-1], y[1:]].sum()
+
+    def back(g):
+        de = -np.exp(alpha + beta - log_z)
+        de[np.arange(tau), y] += 1.0
+        dtrans = -np.exp(alpha[:-1, :, None] + trans + (e[1:] + beta[1:])[:, None] - log_z).sum(axis=0)
+        np.add.at(dtrans, (y[:-1], y[1:]), 1.0)
+        crf.start_scores.accumulate(g * de[0])      # the start score enters as row 0's emission does
+        crf.transitions.accumulate(g * dtrans)
+        crf.emission_weight.accumulate(g * (de.T @ h.data))
+        h.accumulate(g * (de @ crf.emission_weight.data))
+
+    return Tensor(score - log_z, (h, crf.emission_weight, crf.transitions, crf.start_scores), back)
 
 
 def nll_loss(batch: list, crf: CrfParams, scheme: LabelScheme | None = None) -> Tensor:
     """Summed negative log-likelihood over (hidden sequence, labels) pairs."""
     if len(batch) == 0:
         raise ValueError("nll_loss needs a non-empty batch")
-    total = None
-    for hs, y in batch:
-        ll = crf_log_likelihood(hs, y, crf, scheme)
-        total = ll if total is None else total + ll
-    return -total
-
-
-def _score_table(hs, crf: CrfParams, scheme: LabelScheme | None, penalty: float = MASK_PENALTY):
-    emissions = stack_rows(hs).data @ crf.emission_weight.data.T
-    trans = crf.transitions.data
-    start = crf.start_scores.data
-    if scheme is not None:
-        tmask, smask = scheme.transition_penalties(penalty)
-        trans = trans + tmask
-        start = start + smask
-    return emissions, trans, start
+    return -reduce(Tensor.__add__, [crf_log_likelihood(hs, y, crf, scheme) for hs, y in batch])
 
 
 def viterbi_decode(hs, crf: CrfParams, scheme: LabelScheme | None = None) -> list:

@@ -326,15 +326,6 @@ def softmax(x: Tensor) -> Tensor:
     return Tensor(p, (x,), lambda g: x.accumulate(p * (g - (g * p).sum(axis=-1, keepdims=True))))
 
 
-def logsumexp(x: Tensor, axis: int) -> Tensor:
-    m = x.data.max(axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    z = e.sum(axis=axis, keepdims=True)
-    p = e / z
-    return Tensor(np.squeeze(m + np.log(z), axis=axis), (x,),
-                  lambda g: x.accumulate(p * np.expand_dims(g, axis)))
-
-
 def concat(parts: list) -> Tensor:
     """Concatenate along the last axis; the leading axes must agree. Plain-array parts are constants."""
     parts = tuple(parts)

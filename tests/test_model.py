@@ -435,14 +435,14 @@ def graph_size(root) -> int:
     return len(graph_nodes(root))
 
 
-def test_graph_grows_only_with_the_crf_recursion(model):
-    # the CRF forward recursion is the one part of the loss built per character
+def test_loss_graph_size_does_not_grow_with_the_sentence(model):
+    # every layer, the CRF likelihood too, runs a sentence as a whole: no node is built per character
     def nodes(tau):
         chars = (VOCAB * 2)[:tau]
         return graph_size(model.loss([TaggedSentence(chars, ("O",) * tau, 0)], training=False))
 
-    short, long = nodes(4), nodes(12)
-    assert long - short <= 8 * (12 - 4), (short, long)
+    counts = [nodes(tau) for tau in (1, 4, 12)]
+    assert counts[0] == counts[1] == counts[2], counts
 
 
 @pytest.mark.parametrize("constrain", [False, True])

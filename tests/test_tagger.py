@@ -365,6 +365,81 @@ def test_loglik_rejects_bad_labels():
         crf_log_likelihood(hs, [0, 3], crf)      # index out of range
     with pytest.raises(ValueError):
         crf_log_likelihood(hs, [0], crf)         # length mismatch
+    # a label that is not an integer is refused, not truncated to one
+    for y in ([1.9, 0.2], [1.0, 0], np.array([1.0, 0.0]), [True, False], np.array([True, False])):
+        with pytest.raises(ValueError):
+            crf_log_likelihood(hs, y, crf)
+        with pytest.raises(ValueError):
+            brute_force_loglik(hs, y, crf)
+    assert float(crf_log_likelihood(hs, np.array([1, 0]), crf).data) == \
+        float(crf_log_likelihood(hs, [1, 0], crf).data)
+
+
+def reference_logsumexp(x, axis):
+    m = x.data.max(axis=axis, keepdims=True)
+    e = np.exp(x.data - m)
+    z = e.sum(axis=axis, keepdims=True)
+    return Tensor(np.squeeze(m + np.log(z), axis=axis), (x,),
+                  lambda g: x.accumulate(e / z * np.expand_dims(g, axis)))
+
+
+def reference_log_likelihood(hs, y, crf, scheme=None):
+    """The per-character Tensor recursion: a logsumexp, a reshape, two adds and an emission row each step."""
+    h = stack_rows(hs)
+    tau, label_count = len(h), crf.label_count
+    y = np.asarray(y)
+    emissions = h @ crf.emission_weight.transpose((1, 0))
+    trans, start = crf.transitions, crf.start_scores
+    if scheme is not None:
+        tmask, smask = scheme.transition_penalties()
+        trans, start = trans + tmask, start + smask
+    score = emissions[np.arange(tau), y].sum() + start[y[0]] + trans[y[:-1], y[1:]].sum()
+    alpha = start + emissions[0]
+    for t in range(1, tau):
+        alpha = reference_logsumexp(alpha.reshape((label_count, 1)) + trans + emissions[t], axis=0)
+    return score - reference_logsumexp(alpha, axis=0)
+
+
+def _loglik_and_grads(loglik, hs, y, crf, scheme):
+    leaves = (list(hs) if isinstance(hs, list) else [hs]) + crf.parameters()
+    zero_grads(leaves)
+    ll = loglik(hs, y, crf, scheme)
+    ll.backward()
+    return ll.item(), [p.grad.copy() for p in leaves]
+
+
+@pytest.mark.parametrize("tau", range(1, 13))
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("rows", [False, True])
+def test_loglik_node_matches_per_step_recursion(tau, masked, rows):
+    rng = default_rng([tau, masked, rows])
+    schemes = {5: LabelScheme.from_entity_types(("PER",)), 9: LabelScheme.from_entity_types(("PER", "LOC"))}
+    for label_count in schemes if masked else range(2, 10):
+        scheme = schemes[label_count] if masked else None
+        d_h = int(rng.integers(1, 8))
+        crf = make_crf(label_count, d_h, rng)
+        if rows:
+            hs = [Parameter(rng.normal(size=d_h), name="h%d" % t) for t in range(tau)]
+        else:
+            hs = Parameter(rng.normal(size=(tau, d_h)), name="hs")
+        y = [int(v) for v in rng.integers(0, label_count, size=tau)]
+        if masked and tau > 1:
+            # the gold path opens an entity with its end, a transition the mask forbids
+            y[tau // 2 - 1:tau // 2 + 1] = [scheme.label_index("O"), scheme.label_index("E-PER")]
+            assert not scheme.is_valid_transition("O", "E-PER")
+        ll_new, grads_new = _loglik_and_grads(crf_log_likelihood, hs, y, crf, scheme)
+        ll_ref, grads_ref = _loglik_and_grads(reference_log_likelihood, hs, y, crf, scheme)
+        np.testing.assert_allclose(ll_new, ll_ref, rtol=1e-10, atol=1e-12)
+        for g_new, g_ref in zip(grads_new, grads_ref):
+            np.testing.assert_allclose(g_new, g_ref, rtol=1e-10, atol=1e-12)
+
+
+def test_loglik_is_one_graph_node():
+    rng = default_rng(15)
+    crf = make_crf(9, 4, rng)
+    h = Parameter(rng.normal(size=(12, 4)), name="hs")
+    ll = crf_log_likelihood(h, [0] * 12, crf, LabelScheme.from_entity_types(("PER", "LOC")))
+    assert {id(p) for p in ll._parents} == {id(p) for p in [h] + crf.parameters()}
 
 
 def test_crf_gradients():

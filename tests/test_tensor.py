@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fgn.gradcheck import grad_check
-from fgn.tensor import (Parameter, Tensor, concat, is_recording, logsumexp, no_grad, sigmoid, sigmoid_array,
+from fgn.tensor import (Parameter, Tensor, concat, is_recording, no_grad, sigmoid, sigmoid_array,
                         softmax, stack_rows, tanh)
 
 
@@ -163,24 +163,6 @@ def test_softmax_rows_match_vectors(rng):
     rows = softmax(Tensor(m)).data
     for i in range(3):
         np.testing.assert_array_equal(rows[i], softmax(Tensor(m[i])).data)
-
-
-@given(st.lists(finite_vec(4), min_size=2, max_size=5))
-def test_logsumexp_matches_numpy(rows):
-    m = np.array(rows)
-    got = logsumexp(Tensor(m), axis=0).data
-    want = np.log(np.exp(m - m.max(axis=0)).sum(axis=0)) + m.max(axis=0)
-    assert np.allclose(got, want, atol=1e-12)
-
-
-def test_logsumexp_gradient(rng):
-    x = Parameter(rng.standard_normal((4, 3)), name="x")
-    d = rng.standard_normal(3)
-
-    def loss():
-        return (logsumexp(x, axis=0) * Tensor(d)).sum()
-
-    assert grad_check(loss, [x]).passed
 
 
 def test_concat_narrow_roundtrip(rng):
