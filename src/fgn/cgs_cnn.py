@@ -22,17 +22,28 @@ neighbours, are dropped; and at the ends of the sentence the halo is clipped
 to the same zero padding the whole-sentence conv uses. The pyramid works per
 glyph, so it needs no halo, and cgs_2d, which mixes nothing, pays nothing for
 it. Dropout, given a generator, runs once on the assembled matrix.
+
+The chunks of one sentence are independent, so a sentence longer than CHUNK
+runs them on a pool of one thread per CPU this process may use, at most
+CHUNK // (4 * HALO) = 2, each on CHUNK // workers rows: no chunk is narrower
+than 8 rows, and the rows in flight stay close to one CHUNK with its halo. Each
+chunk writes its own rows of the output. The pool lives for the call and runs
+inside one_blas_thread(): BLAS's own threads gain little on these narrow GEMMs,
+and while they run or spin they take the cores from the chunk threads. Where no
+OpenBLAS thread control is found, or one CPU is free, the chunks run in turn.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .glyphs import GLYPH_SIZE
 from .ops import conv, dropout, pool
-from .tensor import Parameter, Tensor, _value, is_recording, tanh, uniform_fan_init
+from .tensor import Parameter, Tensor, _value, is_recording, one_blas_thread, tanh, uniform_fan_init
 
 CNN_VARIANTS = ("cgs", "cgs_2d", "cgs_avg")
 # Outside a recorded graph the sentence is encoded CHUNK rows at a time, which
@@ -120,6 +131,17 @@ def _glyph_vectors(x, config: CgsCnnConfig, params: dict) -> Tensor:
     return pool(x, config.pool1d_window, config.pool1d_stride, 1, mode).reshape((n, config.glyph_dim))
 
 
+def long_sentence(tau: int) -> bool:
+    """Whether a no-grad encode of tau glyphs runs in chunks on threads, so its decode keeps BLAS in the calling thread."""
+    return tau > CHUNK
+
+
+def _chunk_workers() -> int:
+    """Threads for the chunks of a long sentence: the CPUs this process may use, at most CHUNK // (4 * HALO)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, CHUNK // (4 * HALO))
+
+
 def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict,
                     rng: np.random.Generator | None = None) -> Tensor:
     """tau glyphs -> (tau, 64) glyph vectors, one row per character; rng, if given, draws dropout."""
@@ -131,14 +153,23 @@ def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict,
                              % (i, np.shape(g), GLYPH_SIZE, GLYPH_SIZE))
     tau = len(graphs)
     stacked = np.stack([np.asarray(g, dtype=np.float64) for g in graphs])[..., None]   # (tau, 50, 50, 1)
-    if is_recording() or tau <= CHUNK:
+    if is_recording() or not long_sentence(tau):
         x = _glyph_vectors(_mix(stacked, config, params), config, params)
     else:
         out = np.empty((tau, config.glyph_dim))
-        for a in range(0, tau, CHUNK):
-            b = min(a + CHUNK, tau)
+
+        def encode_rows(a):
+            b = min(a + rows, tau)
             lo = max(a - HALO, 0)
             mixed = _value(_mix(stacked[lo:b + HALO], config, params))
             out[a:b] = _glyph_vectors(mixed[a - lo:b - lo], config, params).data
+
+        with one_blas_thread() as pinned:
+            workers = _chunk_workers() if pinned else 1
+            rows = CHUNK // workers
+            # the pool starts its threads on the first submit, so one worker starts none;
+            # list() reads every result, so a chunk's exception is raised here
+            with ThreadPoolExecutor(workers) as chunk_pool:
+                list((map if workers == 1 else chunk_pool.map)(encode_rows, range(0, tau, rows)))
         x = Tensor(out)
     return dropout(x, config.dropout_rate, rng)

@@ -8,16 +8,19 @@ parameter. Loading builds the model with its parameters unset, drawing no
 initial values, and then fills every parameter from the file, so a save/load
 round trip is bit-exact. A sentence runs through the network as one (tau, d)
 matrix per stage. Decoding is forward only: it runs under no_grad, so it keeps
-no graph, and its memory does not grow with the sentence.
+no graph, and its memory does not grow with the sentence. A sentence the
+encoder splits into chunk threads (cgs_cnn.long_sentence) decodes with BLAS
+held to the calling thread, which leaves the cores to those threads.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 
 import numpy as np
 
-from .cgs_cnn import encode_sequence, init_cgs_params
+from .cgs_cnn import encode_sequence, init_cgs_params, long_sentence
 from .config import RunConfig, config_from_dict, config_to_dict
 from .corpus import TaggedSentence
 from .embedding import FileBackedEmbedding, LookupTableEmbedding
@@ -26,7 +29,7 @@ from .glyphs import GLYPH_SIZE, GlyphAtlas, sentence_to_graphs
 from .serialize import read_records, write_records
 from .tagger import (LabelScheme, bilstm_encode, init_crf_params,
                      init_tagger_params, nll_loss, viterbi_decode)
-from .tensor import no_grad
+from .tensor import no_grad, one_blas_thread
 
 
 class _NoDraw:
@@ -101,10 +104,14 @@ class FgnModel:
         return nll_loss(batch, self.crf, self.mask_scheme)
 
     def decode(self, sentence: str, sentence_index: int = 0, provider=None) -> list:
-        # forward only: no graph is kept, and the encoder runs in bounded chunks
-        with no_grad():
-            hs = self.hidden_states(sentence, sentence_index, provider=provider)
-        path = viterbi_decode(hs, self.crf, self.mask_scheme)
+        # forward only: no graph is kept, and the encoder runs in bounded chunks. A
+        # long sentence, whose chunks run on threads, keeps all its BLAS calls here:
+        # OpenBLAS's workers, once woken by the fusion or LSTM GEMMs, spin on the
+        # cores the next chunk threads need. A short one keeps BLAS's threads.
+        with one_blas_thread() if long_sentence(len(sentence)) else nullcontext():
+            with no_grad():
+                hs = self.hidden_states(sentence, sentence_index, provider=provider)
+            path = viterbi_decode(hs, self.crf, self.mask_scheme)
         return [self.scheme.labels[i] for i in path]
 
     def predict_sentence(self, sentence: str, sentence_index: int = 0) -> TaggedSentence:

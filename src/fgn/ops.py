@@ -155,7 +155,8 @@ def pool(x: Tensor, window: int, stride: int, r: int, mode: str = "max") -> Tens
     first offset in scan order whose slice equals the max, the cell argmax
     would pick. The backward adds one strided slice per window offset, last
     offset first, so every input cell sums the gradients of its windows in
-    output scan order.
+    output scan order. A max offset's slice is g times its routing, multiplied
+    as int64 bits: exact like np.where, without its branch per cell.
     """
     if mode not in ("max", "avg"):
         raise ValueError("pool mode must be 'max' or 'avg', got %r" % (mode,))
@@ -186,11 +187,12 @@ def pool(x: Tensor, window: int, stride: int, r: int, mode: str = "max") -> Tens
                 taken |= hit
                 hits.append(hit)
             hits.append(~taken)                         # the max is somewhere in the window
+            bits = g.view(np.int64)
         share = g / window ** r if mode == "avg" else None
         gx = np.zeros(x.shape)
         for o in range(len(offsets) - 1, -1, -1):
             span = tuple(slice(i, i + stride * (n - 1) + 1, stride) for i, n in zip(offsets[o], cells[-r:]))
-            gx[(...,) + span + (slice(None),)] += share if share is not None else np.where(hits[o], g, 0.0)
+            gx[(...,) + span + (slice(None),)] += share if share is not None else (hits[o] * bits).view(np.float64)
         x.accumulate(gx)
 
     return Tensor(y, (x,), back)

@@ -65,18 +65,19 @@ class LabelScheme:
         # inside an entity: stay in it (M) or close it (E), same type
         return nxt[0] in "ME" and nxt[2:] == prev[2:]
 
-    def transition_penalties(self, penalty: float = MASK_PENALTY) -> tuple:
-        """(L,L) additive transition mask and (L,) start mask; 0 where valid."""
+    @cached_property
+    def _valid(self) -> tuple:
+        """Read-only (L,L) valid-transition and (L,) valid-start masks, built once per scheme."""
         labs = self.labels
-        trans = np.zeros((len(labs), len(labs)))
-        start = np.zeros(len(labs))
-        for i, a in enumerate(labs):
-            if not self.is_valid_start(a):
-                start[i] = penalty
-            for j, b in enumerate(labs):
-                if not self.is_valid_transition(a, b):
-                    trans[i, j] = penalty
+        trans = np.array([[self.is_valid_transition(a, b) for b in labs] for a in labs], dtype=bool)
+        start = np.array([self.is_valid_start(a) for a in labs], dtype=bool)
+        trans.flags.writeable = start.flags.writeable = False
         return trans, start
+
+    def transition_penalties(self, penalty: float = MASK_PENALTY) -> tuple:
+        """(L,L) additive transition mask and (L,) start mask, fresh arrays; 0 where valid."""
+        trans, start = self._valid
+        return np.where(trans, 0.0, penalty), np.where(start, 0.0, penalty)
 
 
 @dataclass

@@ -21,11 +21,22 @@ builds keeps no parents and no closure, so the buffers a backward would read
 (im2col rows, gate activations) die with the op that made them. Decoding runs
 there; backward() refuses to run inside the scope or from a node that has no
 graph.
+
+one_blas_thread() keeps the BLAS calls of its scope in the calling thread, so
+that threads of our own, such as the glyph encoder's chunk pool, have the
+cores. It sets the thread count of numpy's bundled OpenBLAS to 1 and restores
+it on exit. Setting the count is not enough on its own: after a multi-threaded
+call, OpenBLAS's idle workers spin for about 2^28 cycles (~0.13 s) before they
+sleep, whatever the count is set to later. So a scope that must leave the cores
+free pins every BLAS call in it, not only those that run beside our threads.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
+import glob
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -35,6 +46,7 @@ _recording = True
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_buffers() -> None:
@@ -45,7 +57,9 @@ def _keep_freed_buffers() -> None:
     the kernel at once (heap trim, one mmap per large buffer), so the next step
     page-faults it in again: 5000-9000 faults, up to a quarter of a default step.
     Fixed thresholds keep buffers of up to 32 MB (the most glibc allows) on the
-    heap and up to 128 MB of free heap for reuse. No-op off glibc.
+    heap and up to 128 MB of free heap for reuse. One arena serves every thread:
+    with an arena per thread, each chunk thread of the glyph encoder keeps its
+    own freed buffers, and a long decode peaked a third higher or more. No-op off glibc.
     """
     try:
         libc = ctypes.CDLL(None)
@@ -55,9 +69,57 @@ def _keep_freed_buffers() -> None:
         return
     libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     libc.mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+    libc.mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_freed_buffers()
+
+# (get, set) names of the thread-count functions, by OpenBLAS build: numpy's
+# scipy-openblas wheels, other 64-bit-integer builds, plain builds
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None if there is none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)     # numpy has it loaded: this finds the same copy
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the BLAS calls of the scope in the calling thread; the count returns on exit, also on an exception.
+
+    Yields True when it pinned the count, False when no OpenBLAS was found and
+    the scope changes nothing. Scopes nest. The count is one for the whole
+    process, not one per thread.
+    """
+    control = _openblas_threads()
+    if control is None:
+        yield False
+        return
+    get, put = control
+    saved = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(saved)
 
 
 @contextmanager

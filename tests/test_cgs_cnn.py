@@ -1,12 +1,15 @@
 """Glyph sequence encoder: shapes, variants, and sequence-axis locality."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from fgn import ops
+from fgn import cgs_cnn, ops
 from fgn.cgs_cnn import CHUNK, CNN_VARIANTS, CgsCnnConfig, encode_sequence, init_cgs_params
-from fgn.tensor import no_grad
+from fgn.tensor import _openblas_threads, no_grad
 
 
 def encode(graphs, variant="cgs", seed=3):
@@ -170,3 +173,32 @@ def test_no_grad_chunks_match_the_recorded_encode_bit_for_bit(rng, variant, tau)
         chunked = encode_sequence(graphs, config, params)
     assert recorded._parents and not chunked._parents
     assert np.array_equal(chunked.data.view(np.int64), recorded.data.view(np.int64))
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("tau", [CHUNK + 1, 40, 96])
+def test_pooled_chunks_match_the_serial_encode_bit_for_bit(rng, monkeypatch, tau, workers):
+    # the chunk threads write disjoint rows of one output; 4 threads on CHUNK // 4 rows
+    # each, at a short switch interval, interleave more than the cores would
+    config = CgsCnnConfig()
+    params = init_cgs_params(config, np.random.default_rng(5))
+    graphs = random_graphs(rng, tau)
+    inner, threads = cgs_cnn._glyph_vectors, []
+    monkeypatch.setattr(cgs_cnn, "_glyph_vectors",
+                        lambda *args: threads.append(threading.get_ident()) or inner(*args))
+    monkeypatch.setattr(cgs_cnn, "_chunk_workers", lambda: 1)
+    with no_grad():
+        serial = encode_sequence(graphs, config, params).data
+    assert set(threads) == {threading.get_ident()}
+    threads.clear()
+    monkeypatch.setattr(cgs_cnn, "_chunk_workers", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with no_grad():
+            pooled = encode_sequence(graphs, config, params).data
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(pooled.view(np.int64), serial.view(np.int64))
+    if _openblas_threads() is not None:     # without BLAS thread control the chunks run in turn
+        assert threads and threading.get_ident() not in threads

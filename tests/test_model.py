@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fgn import model as model_module
 from fgn.cgs_cnn import CNN_VARIANTS, CgsCnnConfig, encode_sequence
 from fgn.config import EMBEDDING_KINDS, EmbeddingConfig, FusionConfig, RunConfig
 from fgn.config import TaggerConfig
@@ -18,7 +19,8 @@ from fgn.model import FgnModel
 from fgn.optim import AdamState, adam_step, zero_grads
 from fgn.serialize import read_records, write_records
 from fgn.tagger import TAGGER_VARIANTS, LabelScheme, bilstm_encode, nll_loss
-from fgn.tensor import Parameter, Tensor, concat, is_recording, no_grad, sigmoid, softmax, stack_rows
+from fgn.tensor import (Parameter, Tensor, _openblas_threads, concat, is_recording, no_grad, sigmoid,
+                        softmax, stack_rows)
 
 VOCAB = "我爱北京天安门"
 
@@ -498,6 +500,26 @@ def test_decode_memory_does_not_grow_with_the_sentence():
 
     short, long = peak(32), peak(80)
     assert long <= 1.3 * short, (short, long)
+
+
+@pytest.mark.skipif(_openblas_threads() is None, reason="numpy bundles no OpenBLAS with thread control")
+def test_long_decode_keeps_blas_in_its_thread_and_restores_the_count(model, monkeypatch):
+    # a sentence longer than the encoder's CHUNK decodes on one BLAS thread, Viterbi
+    # included; a short one keeps the count it found; both leave it as they found it
+    get, put = _openblas_threads()
+    saved = get()
+    inner, seen = model_module.viterbi_decode, []
+    monkeypatch.setattr(model_module, "viterbi_decode", lambda *args: seen.append(get()) or inner(*args))
+    put(2)
+    try:
+        outer = get()
+        assert len(model.decode((VOCAB * 6)[:40])) == 40
+        assert get() == outer
+        model.decode(VOCAB)
+        assert get() == outer
+        assert seen == [1, outer]
+    finally:
+        put(saved)
 
 
 @pytest.mark.parametrize("cnn", CNN_VARIANTS)

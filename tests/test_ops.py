@@ -334,16 +334,20 @@ def test_maxpool_matches_the_argmax_formula_bit_for_bit(rng, r, window, stride, 
 
 
 @pytest.mark.parametrize("mode", ["max", "avg"])
-@pytest.mark.parametrize("window,stride", POOL_SHAPES)
+@pytest.mark.parametrize("window,stride", POOL_SHAPES + [(1, 1), (3, 3), (4, 4)])
 @pytest.mark.parametrize("r", [1, 2])
 def test_pool_gradient_matches_scatter_bit_for_bit(rng, r, window, stride, mode):
-    # few distinct values force max ties; overlapping windows give a cell several addends
-    x = rng.integers(0, 3, (2,) + (9, 8)[-r:] + (2,)).astype(np.float64)
+    # few distinct values force max ties; overlapping windows give a cell several addends,
+    # stride = window tiles the input, and a routed -0.0 must come out as the +0.0 of a
+    # sum into a zeroed buffer
+    x = rng.integers(0, 3, (2,) + (12, 12)[-r:] + (2,)).astype(np.float64)
     t = Parameter(x, name="x")
     y = pool(t, window, stride, r, mode)
     g = rng.standard_normal(y.shape)
+    g[g < -0.5] = -0.0
     (y * Tensor(g)).sum().backward()
-    assert np.array_equal(t.grad, pool_scatter_grad(x, g, window, stride, r, mode))
+    want = pool_scatter_grad(x, g, window, stride, r, mode)
+    assert np.array_equal(t.grad.view(np.int64), want.view(np.int64))
 
 
 def test_pool1d_examples():

@@ -95,6 +95,20 @@ def test_transition_penalties_match_predicate():
             assert trans[i, j] == expect
 
 
+def test_transition_penalties_are_fresh_arrays():
+    # the masks are cached on the scheme: a caller's write must not reach the next call
+    scheme = LabelScheme.from_entity_types(("PER", "LOC"))
+    trans, start = scheme.transition_penalties()
+    want_trans, want_start = trans.copy(), start.copy()
+    trans[...] = 7.0
+    start[...] = 7.0
+    again_trans, again_start = scheme.transition_penalties()
+    assert np.array_equal(again_trans, want_trans) and np.array_equal(again_start, want_start)
+    hard_trans, hard_start = scheme.transition_penalties(-np.inf)
+    assert np.array_equal(hard_trans == -np.inf, want_trans == MASK_PENALTY)
+    assert np.array_equal(hard_start == -np.inf, want_start == MASK_PENALTY)
+
+
 # ---- BiLSTM encoding ----
 
 

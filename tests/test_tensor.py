@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fgn.gradcheck import grad_check
-from fgn.tensor import (Parameter, Tensor, concat, is_recording, no_grad, sigmoid, sigmoid_array,
-                        softmax, stack_rows, tanh)
+from fgn.tensor import (Parameter, Tensor, _openblas_threads, concat, is_recording, no_grad,
+                        one_blas_thread, sigmoid, sigmoid_array, softmax, stack_rows, tanh)
 
 
 def finite_vec(n, lo=-5, hi=5):
@@ -350,6 +350,28 @@ def test_no_grad_scope_nests_and_survives_exceptions():
             with no_grad():
                 raise KeyError("nested")
     assert is_recording()
+
+
+@pytest.mark.skipif(_openblas_threads() is None, reason="numpy bundles no OpenBLAS with thread control")
+def test_one_blas_thread_restores_the_count_and_nests():
+    get, put = _openblas_threads()
+    saved = get()
+    put(2)      # a count other than 1, so a restore shows where the machine allows 2
+    try:
+        outer = get()
+        with one_blas_thread() as pinned:
+            assert pinned and get() == 1
+            with one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == outer
+        with pytest.raises(KeyError):
+            with one_blas_thread():
+                with one_blas_thread():
+                    raise KeyError("nested")
+        assert get() == outer
+    finally:
+        put(saved)
 
 
 def test_backward_refuses_a_missing_graph(rng):
