@@ -35,7 +35,6 @@ OpenBLAS thread control is found, or one CPU is free, the chunks run in turn.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -43,7 +42,8 @@ import numpy as np
 
 from .glyphs import GLYPH_SIZE
 from .ops import conv, dropout, pool
-from .tensor import Parameter, Tensor, _value, is_recording, one_blas_thread, tanh, uniform_fan_init
+from .tensor import (Parameter, Tensor, _value, is_recording, one_blas_thread, tanh, uniform_fan_init,
+                     usable_cpus)
 
 CNN_VARIANTS = ("cgs", "cgs_2d", "cgs_avg")
 # Outside a recorded graph the sentence is encoded CHUNK rows at a time, which
@@ -138,8 +138,7 @@ def long_sentence(tau: int) -> bool:
 
 def _chunk_workers() -> int:
     """Threads for the chunks of a long sentence: the CPUs this process may use, at most CHUNK // (4 * HALO)."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cpus, CHUNK // (4 * HALO))
+    return min(usable_cpus(), CHUNK // (4 * HALO))
 
 
 def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict,

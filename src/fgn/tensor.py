@@ -29,6 +29,16 @@ it on exit. Setting the count is not enough on its own: after a multi-threaded
 call, OpenBLAS's idle workers spin for about 2^28 cycles (~0.13 s) before they
 sleep, whatever the count is set to later. So a scope that must leave the cores
 free pins every BLAS call in it, not only those that run beside our threads.
+A scope that opens right after multi-threaded BLAS, as Adam's does after the
+backward's last GEMM, calls stop_blas_workers() in it: OpenBLAS's exported
+blas_thread_shutdown_ makes the workers exit at once, and the next
+multi-threaded BLAS call starts them again (~0.1 ms). The first restart
+allocates one more OpenBLAS buffer, about 34 MB of RSS once; later restarts
+reuse it. The shutdown joins the workers and frees their state, so it must
+not run while another thread is inside BLAS. The glyph encoder does not call
+it: a long decode pins its BLAS from the start, so its workers sleep anyway.
+
+usable_cpus() is the one count of the CPUs this process may run on.
 """
 
 from __future__ import annotations
@@ -83,9 +93,18 @@ _OPENBLAS_THREAD_FUNCTIONS = (
 )
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one, else the CPU count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 @functools.cache
 def _openblas_threads():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None if there is none."""
+    """(get, set, shutdown) of numpy's bundled OpenBLAS, or None if there is none.
+
+    get and set are the thread-count functions; shutdown is blas_thread_shutdown_,
+    or None where the library does not export it.
+    """
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         try:
@@ -97,7 +116,10 @@ def _openblas_threads():
                 get, put = getattr(lib, get_name), getattr(lib, set_name)
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+                shutdown = getattr(lib, "blas_thread_shutdown_", None)
+                if shutdown is not None:
+                    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                return get, put, shutdown
     return None
 
 
@@ -113,13 +135,25 @@ def one_blas_thread():
     if control is None:
         yield False
         return
-    get, put = control
+    get, put, _ = control
     saved = get()
     put(1)
     try:
         yield True
     finally:
         put(saved)
+
+
+def stop_blas_workers() -> bool:
+    """Make OpenBLAS's idle workers exit now, so they spin on no core; False, doing nothing, where it cannot.
+
+    Call it inside one_blas_thread(), while no other thread is inside BLAS.
+    """
+    control = _openblas_threads()
+    if control is None or control[2] is None:
+        return False
+    control[2]()
+    return True
 
 
 @contextmanager

@@ -506,7 +506,7 @@ def test_decode_memory_does_not_grow_with_the_sentence():
 def test_long_decode_keeps_blas_in_its_thread_and_restores_the_count(model, monkeypatch):
     # a sentence longer than the encoder's CHUNK decodes on one BLAS thread, Viterbi
     # included; a short one keeps the count it found; both leave it as they found it
-    get, put = _openblas_threads()
+    get, put, _ = _openblas_threads()
     saved = get()
     inner, seen = model_module.viterbi_decode, []
     monkeypatch.setattr(model_module, "viterbi_decode", lambda *args: seen.append(get()) or inner(*args))

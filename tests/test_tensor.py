@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from fgn.gradcheck import grad_check
 from fgn.tensor import (Parameter, Tensor, _openblas_threads, concat, is_recording, no_grad,
-                        one_blas_thread, sigmoid, sigmoid_array, softmax, stack_rows, tanh)
+                        one_blas_thread, sigmoid, sigmoid_array, softmax, stack_rows, stop_blas_workers, tanh)
 
 
 def finite_vec(n, lo=-5, hi=5):
@@ -354,7 +354,8 @@ def test_no_grad_scope_nests_and_survives_exceptions():
 
 @pytest.mark.skipif(_openblas_threads() is None, reason="numpy bundles no OpenBLAS with thread control")
 def test_one_blas_thread_restores_the_count_and_nests():
-    get, put = _openblas_threads()
+    get, put, shutdown = _openblas_threads()
+    assert shutdown is None or callable(shutdown)
     saved = get()
     put(2)      # a count other than 1, so a restore shows where the machine allows 2
     try:
@@ -370,6 +371,27 @@ def test_one_blas_thread_restores_the_count_and_nests():
                 with one_blas_thread():
                     raise KeyError("nested")
         assert get() == outer
+    finally:
+        put(saved)
+
+
+@pytest.mark.skipif(_openblas_threads() is None or _openblas_threads()[2] is None,
+                    reason="numpy bundles no OpenBLAS that exports blas_thread_shutdown_")
+def test_stopped_blas_workers_restart_and_give_the_same_bits(rng):
+    # a GEMM this size runs on every BLAS thread; stopping the workers twice in a
+    # row is as safe as once, and the next GEMM starts them again
+    get, put, _ = _openblas_threads()
+    saved = get()
+    put(2)
+    try:
+        a, b = rng.standard_normal((300, 400)), rng.standard_normal((400, 500))
+        before = a @ b
+        with one_blas_thread():
+            assert stop_blas_workers()
+            assert stop_blas_workers()
+        assert get() == 2
+        after = a @ b
+        assert np.array_equal(after.view(np.int64), before.view(np.int64))
     finally:
         put(saved)
 
