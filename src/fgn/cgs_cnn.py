@@ -24,26 +24,21 @@ glyph, so it needs no halo, and cgs_2d, which mixes nothing, pays nothing for
 it. Dropout, given a generator, runs once on the assembled matrix.
 
 The chunks of one sentence are independent, so a sentence longer than CHUNK
-runs them on a pool of one thread per CPU this process may use, at most
-CHUNK // (4 * HALO) = 2, each on CHUNK // workers rows: no chunk is narrower
-than 8 rows, and the rows in flight stay close to one CHUNK with its halo. Each
-chunk writes its own rows of the output. The pool lives for the call and runs
-inside one_blas_thread(): BLAS's own threads gain little on these narrow GEMMs,
-and while they run or spin they take the cores from the chunk threads. Where no
-OpenBLAS thread control is found, or one CPU is free, the chunks run in turn.
+runs them through tensor.threaded_map on one thread per CPU this process may
+use, at most CHUNK // (4 * HALO) = 2, each on CHUNK // workers rows: no chunk
+is narrower than 8 rows, and the rows in flight stay close to one CHUNK with
+its halo. Each chunk writes its own rows of the output.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .glyphs import GLYPH_SIZE
 from .ops import conv, dropout, pool
-from .tensor import (Parameter, Tensor, _value, is_recording, one_blas_thread, tanh, uniform_fan_init,
-                     usable_cpus)
+from .tensor import Parameter, Tensor, _value, is_recording, tanh, threaded_map, uniform_fan_init, usable_cpus
 
 CNN_VARIANTS = ("cgs", "cgs_2d", "cgs_avg")
 # Outside a recorded graph the sentence is encoded CHUNK rows at a time, which
@@ -136,11 +131,6 @@ def long_sentence(tau: int) -> bool:
     return tau > CHUNK
 
 
-def _chunk_workers() -> int:
-    """Threads for the chunks of a long sentence: the CPUs this process may use, at most CHUNK // (4 * HALO)."""
-    return min(usable_cpus(), CHUNK // (4 * HALO))
-
-
 def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict,
                     rng: np.random.Generator | None = None) -> Tensor:
     """tau glyphs -> (tau, 64) glyph vectors, one row per character; rng, if given, draws dropout."""
@@ -156,6 +146,8 @@ def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict,
         x = _glyph_vectors(_mix(stacked, config, params), config, params)
     else:
         out = np.empty((tau, config.glyph_dim))
+        workers = min(usable_cpus(), CHUNK // (4 * HALO))
+        rows = CHUNK // workers
 
         def encode_rows(a):
             b = min(a + rows, tau)
@@ -163,12 +155,6 @@ def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict,
             mixed = _value(_mix(stacked[lo:b + HALO], config, params))
             out[a:b] = _glyph_vectors(mixed[a - lo:b - lo], config, params).data
 
-        with one_blas_thread() as pinned:
-            workers = _chunk_workers() if pinned else 1
-            rows = CHUNK // workers
-            # the pool starts its threads on the first submit, so one worker starts none;
-            # list() reads every result, so a chunk's exception is raised here
-            with ThreadPoolExecutor(workers) as chunk_pool:
-                list((map if workers == 1 else chunk_pool.map)(encode_rows, range(0, tau, rows)))
+        threaded_map(encode_rows, range(0, tau, rows), workers)
         x = Tensor(out)
     return dropout(x, config.dropout_rate, rng)

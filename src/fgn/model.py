@@ -104,10 +104,7 @@ class FgnModel:
         return nll_loss(batch, self.crf, self.mask_scheme)
 
     def decode(self, sentence: str, sentence_index: int = 0, provider=None) -> list:
-        # forward only: no graph is kept, and the encoder runs in bounded chunks. A
-        # long sentence, whose chunks run on threads, keeps all its BLAS calls here:
-        # OpenBLAS's workers, once woken by the fusion or LSTM GEMMs, spin on the
-        # cores the next chunk threads need. A short one keeps BLAS's threads.
+        # forward only, in bounded chunks; a long sentence pins all its BLAS calls (tensor.py tells why)
         with one_blas_thread() if long_sentence(len(sentence)) else nullcontext():
             with no_grad():
                 hs = self.hidden_states(sentence, sentence_index, provider=provider)

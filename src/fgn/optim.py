@@ -9,21 +9,16 @@ The update is bound by memory bandwidth, so a model of at least
 2 * THREAD_ELEMENTS elements splits its row blocks across a thread per usable
 CPU, each thread taking a contiguous run of about equal element count. Every
 element still sees the same operations in the same order, so the result is
-the same bits as in one thread. The threads run inside one_blas_thread(),
-after stop_blas_workers(): OpenBLAS's workers still spin on the cores for
-~0.13 s after the backward's last GEMM, and while they spin, two threads save
-almost nothing. Without OpenBLAS thread control, and for a smaller model, such
-as the default one, the update runs in the calling thread.
+the same bits as in one thread. tensor.threaded_map runs the runs and says
+when they may take the cores; a smaller model, such as the default one, runs
+its one run in the calling thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-
 import numpy as np
 
-from .tensor import one_blas_thread, stop_blas_workers, usable_cpus
+from .tensor import threaded_map, usable_cpus
 
 
 class AdamState:
@@ -105,14 +100,8 @@ def adam_step(params: list, state: AdamState) -> None:
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
     blocks = [b for p, m, v in zip(params, state.m, state.v) for b in _row_blocks(p.data, p.grad, m, v)]
-    workers = min(usable_cpus(), sum(p.data.size for p in params) // THREAD_ELEMENTS)
-    with one_blas_thread() if workers > 1 else nullcontext(False) as pinned:
-        if pinned and stop_blas_workers():
-            # list() reads every result, so a run's exception reaches the caller once the pool has joined
-            with ThreadPoolExecutor(workers) as pool:
-                list(pool.map(lambda run: _update(run, state.learning_rate, bc1, bc2), _runs(blocks, workers)))
-        else:
-            _update(blocks, state.learning_rate, bc1, bc2)
+    workers = max(1, min(usable_cpus(), sum(p.data.size for p in params) // THREAD_ELEMENTS))
+    threaded_map(lambda run: _update(run, state.learning_rate, bc1, bc2), _runs(blocks, workers), workers)
 
 
 def zero_grads(params: list) -> None:

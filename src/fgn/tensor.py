@@ -22,21 +22,24 @@ builds keeps no parents and no closure, so the buffers a backward would read
 there; backward() refuses to run inside the scope or from a node that has no
 graph.
 
-one_blas_thread() keeps the BLAS calls of its scope in the calling thread, so
-that threads of our own, such as the glyph encoder's chunk pool, have the
-cores. It sets the thread count of numpy's bundled OpenBLAS to 1 and restores
-it on exit. Setting the count is not enough on its own: after a multi-threaded
-call, OpenBLAS's idle workers spin for about 2^28 cycles (~0.13 s) before they
-sleep, whatever the count is set to later. So a scope that must leave the cores
-free pins every BLAS call in it, not only those that run beside our threads.
-A scope that opens right after multi-threaded BLAS, as Adam's does after the
-backward's last GEMM, calls stop_blas_workers() in it: OpenBLAS's exported
-blas_thread_shutdown_ makes the workers exit at once, and the next
-multi-threaded BLAS call starts them again (~0.1 ms). The first restart
-allocates one more OpenBLAS buffer, about 34 MB of RSS once; later restarts
-reuse it. The shutdown joins the workers and frees their state, so it must
-not run while another thread is inside BLAS. The glyph encoder does not call
-it: a long decode pins its BLAS from the start, so its workers sleep anyway.
+threaded_map() is the one place that runs threads of our own: the glyph
+encoder's halo chunks and Adam's row runs. They need the cores to themselves,
+so it sets the thread count of numpy's bundled OpenBLAS to 1 for the map and
+restores it on exit. Setting the count is not enough on its own: after a
+multi-threaded call, OpenBLAS's idle workers spin for about 2^28 cycles
+(~0.13 s) before they sleep, whatever the count is set to later. So when the
+count it finds is above 1, as after the backward's last GEMM, it first calls
+OpenBLAS's exported blas_thread_shutdown_, which makes the workers exit at
+once; the next multi-threaded BLAS call starts them again (~0.1 ms). The
+first restart allocates one more OpenBLAS buffer, about 34 MB of RSS once;
+later restarts reuse it. The shutdown joins the workers and frees their
+state, so it must not run while another thread is inside BLAS. Where that
+symbol is missing, the items run in turn.
+
+one_blas_thread() pins every BLAS call of a scope. A long decode runs in one
+from its start, since its fusion and LSTM GEMMs would otherwise wake workers
+to spin on the cores its next chunks need; so the encoder's map finds a count
+of 1, stops no worker, and the decode pays for no restart.
 
 usable_cpus() is the one count of the CPUs this process may run on.
 """
@@ -47,6 +50,7 @@ import ctypes
 import functools
 import glob
 import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -127,33 +131,45 @@ def _openblas_threads():
 def one_blas_thread():
     """Run the BLAS calls of the scope in the calling thread; the count returns on exit, also on an exception.
 
-    Yields True when it pinned the count, False when no OpenBLAS was found and
-    the scope changes nothing. Scopes nest. The count is one for the whole
-    process, not one per thread.
+    Scopes nest; where no OpenBLAS is found, the scope changes nothing. The
+    count is one for the whole process, not one per thread.
     """
     control = _openblas_threads()
     if control is None:
-        yield False
+        yield
         return
     get, put, _ = control
     saved = get()
     put(1)
     try:
-        yield True
+        yield
     finally:
         put(saved)
 
 
-def stop_blas_workers() -> bool:
-    """Make OpenBLAS's idle workers exit now, so they spin on no core; False, doing nothing, where it cannot.
+def threaded_map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], on a pool of `workers` threads with BLAS held to each one.
 
-    Call it inside one_blas_thread(), while no other thread is inside BLAS.
+    Threads run only for workers > 1 with OpenBLAS thread control, and, where
+    the count on entry is above 1, its blas_thread_shutdown_; otherwise the
+    items run in turn in the calling thread. The count returns on exit, also on
+    an exception, which reaches the caller once the pool has joined.
     """
-    control = _openblas_threads()
-    if control is None or control[2] is None:
-        return False
-    control[2]()
-    return True
+    control = _openblas_threads() if workers > 1 else None
+    if control is None:
+        return [fn(item) for item in items]
+    get, put, shutdown = control
+    saved = get()
+    if saved > 1 and shutdown is None:
+        return [fn(item) for item in items]
+    put(1)
+    try:
+        if saved > 1:
+            shutdown()
+        with ThreadPoolExecutor(workers) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        put(saved)
 
 
 @contextmanager

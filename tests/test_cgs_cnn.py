@@ -178,20 +178,20 @@ def test_no_grad_chunks_match_the_recorded_encode_bit_for_bit(rng, variant, tau)
 @pytest.mark.parametrize("workers", [2, 4])
 @pytest.mark.parametrize("tau", [CHUNK + 1, 40, 96])
 def test_pooled_chunks_match_the_serial_encode_bit_for_bit(rng, monkeypatch, tau, workers):
-    # the chunk threads write disjoint rows of one output; 4 threads on CHUNK // 4 rows
-    # each, at a short switch interval, interleave more than the cores would
+    # the chunk threads write disjoint rows of one output; 4 CPUs still take CHUNK // (4 * HALO)
+    # = 2 threads; a short switch interval interleaves them more than the cores would
     config = CgsCnnConfig()
     params = init_cgs_params(config, np.random.default_rng(5))
     graphs = random_graphs(rng, tau)
     inner, threads = cgs_cnn._glyph_vectors, []
     monkeypatch.setattr(cgs_cnn, "_glyph_vectors",
                         lambda *args: threads.append(threading.get_ident()) or inner(*args))
-    monkeypatch.setattr(cgs_cnn, "_chunk_workers", lambda: 1)
+    monkeypatch.setattr(cgs_cnn, "usable_cpus", lambda: 1)
     with no_grad():
         serial = encode_sequence(graphs, config, params).data
     assert set(threads) == {threading.get_ident()}
     threads.clear()
-    monkeypatch.setattr(cgs_cnn, "_chunk_workers", lambda: workers)
+    monkeypatch.setattr(cgs_cnn, "usable_cpus", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

@@ -1,12 +1,15 @@
 """Autodiff core: forward values against numpy, gradients against finite differences."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fgn.tensor as tensor_module
 from fgn.gradcheck import grad_check
 from fgn.tensor import (Parameter, Tensor, _openblas_threads, concat, is_recording, no_grad,
-                        one_blas_thread, sigmoid, sigmoid_array, softmax, stack_rows, stop_blas_workers, tanh)
+                        one_blas_thread, sigmoid, sigmoid_array, softmax, stack_rows, tanh, threaded_map)
 
 
 def finite_vec(n, lo=-5, hi=5):
@@ -360,8 +363,8 @@ def test_one_blas_thread_restores_the_count_and_nests():
     put(2)      # a count other than 1, so a restore shows where the machine allows 2
     try:
         outer = get()
-        with one_blas_thread() as pinned:
-            assert pinned and get() == 1
+        with one_blas_thread():
+            assert get() == 1
             with one_blas_thread():
                 assert get() == 1
             assert get() == 1
@@ -378,22 +381,86 @@ def test_one_blas_thread_restores_the_count_and_nests():
 @pytest.mark.skipif(_openblas_threads() is None or _openblas_threads()[2] is None,
                     reason="numpy bundles no OpenBLAS that exports blas_thread_shutdown_")
 def test_stopped_blas_workers_restart_and_give_the_same_bits(rng):
-    # a GEMM this size runs on every BLAS thread; stopping the workers twice in a
-    # row is as safe as once, and the next GEMM starts them again
+    # a GEMM this size runs on every BLAS thread; each map entered at a count of 2
+    # stops the workers, twice in a row is as safe as once, and the next GEMM starts them again
     get, put, _ = _openblas_threads()
     saved = get()
     put(2)
     try:
         a, b = rng.standard_normal((300, 400)), rng.standard_normal((400, 500))
         before = a @ b
-        with one_blas_thread():
-            assert stop_blas_workers()
-            assert stop_blas_workers()
+        threaded_map(lambda i: i, range(2), 2)
+        threaded_map(lambda i: i, range(2), 2)
         assert get() == 2
         after = a @ b
         assert np.array_equal(after.view(np.int64), before.view(np.int64))
     finally:
         put(saved)
+
+
+class FakeBlas:
+    """OpenBLAS's thread control as threaded_map sees it: a count, every count set, every shutdown."""
+
+    def __init__(self, count, shutdown=True):
+        self.count, self.puts, self.shutdowns = count, [], 0
+        self.control = (lambda: self.count, self.put, self.shutdown if shutdown else None)
+
+    def put(self, count):
+        self.count = count
+        self.puts.append(count)
+
+    def shutdown(self):
+        self.shutdowns += 1
+        return 0
+
+
+def fake_blas(monkeypatch, count, shutdown=True):
+    blas = FakeBlas(count, shutdown)
+    monkeypatch.setattr(tensor_module, "_openblas_threads", lambda: blas.control)
+    return blas
+
+
+@pytest.mark.parametrize("count, shutdown", [(1, True), (1, False), (2, True), (4, True)])
+def test_threaded_map_pins_the_count_and_stops_workers_only_above_one(monkeypatch, count, shutdown):
+    # at a count of 1 no worker can be spinning, so the symbol is not needed
+    blas = fake_blas(monkeypatch, count, shutdown)
+    seen = []
+    squares = threaded_map(lambda i: seen.append((threading.current_thread(), blas.count)) or i * i, range(5), 2)
+    assert squares == [0, 1, 4, 9, 16]
+    assert blas.count == count and blas.puts == [1, count]
+    assert blas.shutdowns == (count > 1)
+    assert {c for _, c in seen} == {1} and threading.current_thread() not in {t for t, _ in seen}
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_threaded_map_restores_the_count_after_a_raising_item(monkeypatch, count):
+    blas = fake_blas(monkeypatch, count)
+    threads = []
+
+    def item(i):
+        threads.append(threading.current_thread())
+        if i == 1:
+            raise KeyError("item")
+
+    with pytest.raises(KeyError, match="item"):
+        threaded_map(item, range(4), 2)
+    # the exception arrives once the pool has joined
+    assert blas.count == count and blas.puts == [1, count]
+    assert len(threads) >= 2 and not any(t.is_alive() for t in threads)
+
+
+@pytest.mark.parametrize("case", ["one worker", "no OpenBLAS", "no shutdown above one"])
+def test_threaded_map_runs_in_the_calling_thread(monkeypatch, case):
+    if case == "no OpenBLAS":
+        monkeypatch.setattr(tensor_module, "_openblas_threads", lambda: None)
+    else:
+        blas = fake_blas(monkeypatch, 2, shutdown=case == "one worker")
+    threads = []
+    negated = threaded_map(lambda i: threads.append(threading.current_thread()) or -i, range(3),
+                           1 if case == "one worker" else 2)
+    assert negated == [0, -1, -2] and threads == [threading.current_thread()] * 3
+    if case != "no OpenBLAS":
+        assert blas.puts == [] and blas.shutdowns == 0
 
 
 def test_backward_refuses_a_missing_graph(rng):
