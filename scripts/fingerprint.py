@@ -75,7 +75,8 @@ def cell_records(config: RunConfig, scheme: LabelScheme, atlas: GlyphAtlas) -> d
         loss.backward()
         out["step%d/loss" % step] = loss.data.copy()
         for p in params:
-            out["step%d/grad/%s" % (step, p.name)] = p.grad.copy()
+            # a gradient no loss reached is None, which Adam reads as zero
+            out["step%d/grad/%s" % (step, p.name)] = np.zeros(p.data.shape) if p.grad is None else p.grad.copy()
         adam_step(params, state)
     for p in params:
         out["param/" + p.name] = p.data.copy()

@@ -297,8 +297,8 @@ def lstm_sequence(x: Tensor, cell: LstmCellParams, reverse: bool = False) -> Ten
             if t:
                 dc_next = dc * f
                 dh_next = d @ w_hh
-        cell.input_weight.accumulate(dz.T @ seq)
-        cell.hidden_weight.accumulate(dz[1:].T @ hidden[:-1])
+        cell.input_weight.accumulate_product(dz.T, seq)
+        cell.hidden_weight.accumulate_product(dz[1:].T, hidden[:-1])
         cell.bias.accumulate(dz.sum(axis=0))
         dx = dz @ w_ih
         x.accumulate(dx[::-1] if reverse else dx)

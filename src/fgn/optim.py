@@ -1,9 +1,13 @@
 """Adam with bias correction at the published defaults (Kingma & Ba, arXiv:1412.6980).
 
 Every Parameter takes the one update; frozen rows are graph constants, not
-Parameters. A zero gradient keeps m = v = 0, so its step is 0 / EPS = 0.
-AdamState gives the gradient buffers it reads and clears, a zero one to each
-Parameter that has none; np.zeros leaves their pages untouched until a step.
+Parameters. A zero gradient keeps m = v = 0, so its step is 0 / EPS = 0, and
+a missing one (None) reads as zero, with the same bits. adam_step hands each
+gradient buffer it read back to its Parameter as the spare, so grad is None
+between steps and the next backward writes its first gradient into that
+buffer: nothing zeroes it, and no GEMM allocates a new one. AdamState gives
+a zero buffer to each Parameter that has none when it is built, which a
+caller may clear and accumulate into before the first step.
 
 The update is bound by memory bandwidth, so a model of at least
 2 * THREAD_ELEMENTS elements splits its row blocks across a thread per usable
@@ -59,7 +63,7 @@ def _runs(blocks: list, workers: int) -> list:
 
 
 def _update(blocks: list, learning_rate: float, bc1: float, bc2: float) -> None:
-    """Update each (p, grad, m, v) block of `blocks` in place and zero its gradient."""
+    """Update each (p, grad, m, v) block of `blocks` in place."""
     for pb, g, mb, vb in blocks:
         s1 = np.multiply(g, 1.0 - BETA1)
         mb *= BETA1
@@ -75,23 +79,23 @@ def _update(blocks: list, learning_rate: float, bc1: float, bc2: float) -> None:
         s2 += EPS
         s1 /= s2
         pb -= s1
-        g[...] = 0.0
 
 
 def adam_step(params: list, state: AdamState) -> None:
-    """Apply one update to every parameter, then zero all gradients.
+    """Apply one update to every parameter, then hand each gradient buffer back as its spare.
 
     Bit-identical to m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
     p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) as whole-array expressions: the
     same operations run in the same order, but block by block, in place, with two
-    block-sized scratch buffers, so no full-size temporary is made. A parameter
-    whose gradient, m or v does not match its shape raises before anything changes.
+    block-sized scratch buffers, so no full-size temporary is made. A missing
+    gradient reads as a zero array. A parameter whose gradient, m or v does not
+    match its shape raises before anything changes.
     """
     if len(params) != len(state.m):
         raise ValueError("parameter list does not match optimizer state (%d vs %d)"
                          % (len(params), len(state.m)))
     for k, (p, m, v) in enumerate(zip(params, state.m, state.v)):
-        grad_shape = None if p.grad is None else p.grad.shape
+        grad_shape = p.data.shape if p.grad is None else p.grad.shape
         if not p.data.shape == grad_shape == m.shape == v.shape:
             raise ValueError("parameter %d (%s) has shape %r, but its gradient, m and v have %r, %r and %r"
                              % (k, p.name, p.data.shape, grad_shape, m.shape, v.shape))
@@ -99,9 +103,13 @@ def adam_step(params: list, state: AdamState) -> None:
     t = state.step_count
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
-    blocks = [b for p, m, v in zip(params, state.m, state.v) for b in _row_blocks(p.data, p.grad, m, v)]
+    grads = [np.broadcast_to(0.0, p.data.shape) if p.grad is None else p.grad for p in params]
+    blocks = [b for p, g, m, v in zip(params, grads, state.m, state.v) for b in _row_blocks(p.data, g, m, v)]
     workers = max(1, min(usable_cpus(), sum(p.data.size for p in params) // THREAD_ELEMENTS))
     threaded_map(lambda run: _update(run, state.learning_rate, bc1, bc2), _runs(blocks, workers), workers)
+    for p in params:
+        if p.grad is not None:
+            p._spare, p.grad = p.grad, None
 
 
 def zero_grads(params: list) -> None:

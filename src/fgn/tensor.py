@@ -7,14 +7,16 @@ backward), the one place that makes graph edges: Tensor operands become the
 parents and constants are dropped, so backward computes no gradient for them.
 Any op takes a constant on either side; `ndarray <op> Tensor` defers to the
 Tensor. backward() runs the recorded closures in reverse topological order,
-accumulating into .grad, which every node, a Parameter too, allocates at its
-first gradient (an optimizer gives the buffers it reads and clears). Then it
-spends the graph: every closure and parent link goes, freeing what they hold,
-and each node that had them is marked spent, so it is never taken for a leaf.
-A later backward() whose graph reaches a spent node raises before it writes
-any gradient, whether from the same root (which would double the gradients)
-or from another root sharing nodes with the spent graph (whose gradient would
-stop there).
+accumulating into .grad, which a node allocates at its first gradient unless
+it holds a spare, the buffer an optimizer read a Parameter's gradient from
+and handed back: the first gradient is written into it, and
+accumulate_product(a, b) runs the GEMM of a @ b with it as the output. Then
+it spends the graph: every closure and parent link goes, freeing what they
+hold, and each node that had them is marked spent, so it is never taken for
+a leaf. A later backward() whose graph reaches a spent node raises before it
+writes any gradient, whether from the same root (which would double the
+gradients) or from another root sharing nodes with the spent graph (whose
+gradient would stop there).
 
 Inside a no_grad() scope nothing is recorded: every node the constructor
 builds keeps no parents and no closure, so the buffers a backward would read
@@ -212,14 +214,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward", "_spent")
+    __slots__ = ("data", "grad", "_spare", "_parents", "_backward", "_spent")
     # numpy operators return NotImplemented, so `ndarray <op> Tensor` runs the Tensor's reflected op
     __array_ufunc__ = None
 
     def __init__(self, data, operands=(), backward=None):
         """backward(g) accumulates the output gradient g into the Tensor operands."""
         self.data = _as_f64(data)
-        self.grad = None
+        self.grad = self._spare = None
         self._spent = False
         if _recording:
             self._parents = tuple(o for o in operands if isinstance(o, Tensor))
@@ -237,10 +239,20 @@ class Tensor:
     def accumulate(self, g: np.ndarray) -> None:
         # grads are always C-ordered buffers of their own, whatever the data's
         # layout: g may be a view of another node's gradient
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += g
+        elif self._spare is None:
             self.grad = np.array(g, dtype=np.float64, order="C")
         else:
-            self.grad += g
+            self.grad, self._spare = self._spare, None
+            np.copyto(self.grad, g)
+
+    def accumulate_product(self, a: np.ndarray, b: np.ndarray) -> None:
+        """accumulate(a @ b) for 2-d a and b: a first gradient is the GEMM's own output, in the spare if any."""
+        if self.grad is None:
+            self.grad, self._spare = np.matmul(a, b, out=self._spare), None
+        else:
+            self.grad += a @ b
 
     def backward(self) -> None:
         if self.data.shape != ():
@@ -333,7 +345,10 @@ class Tensor:
         data = self.data[index]
 
         def back(g):
-            if self.grad is None:
+            if self.grad is None and self._spare is not None:
+                self.grad, self._spare = self._spare, None
+                self.grad.fill(0.0)
+            elif self.grad is None:
                 self.grad = np.zeros(self.data.shape)
             np.add.at(self.grad, index, g)
 
@@ -359,9 +374,11 @@ class Tensor:
 class Parameter(Tensor):
     """A named leaf tensor, updated by every optimizer step.
 
-    Like any node it has no gradient until one reaches it; the optimizer gives
-    each Parameter a zero buffer it clears after every step, so a Parameter no
-    loss reaches keeps a zero gradient there, and Adam leaves it where it is.
+    Like any node it has no gradient until one reaches it. The optimizer reads
+    the gradient, then hands the buffer back as the spare: grad is None again,
+    and the next step's first gradient is written into the spare, not into a new
+    array. Adam reads a missing gradient as zero, so a Parameter no loss
+    reaches stays where it is.
     """
 
     __slots__ = ("name",)
@@ -413,8 +430,10 @@ def matmul(x, y) -> Tensor:
             gx = (g.reshape(-1, g.shape[-1]) @ yd.T if yd.ndim == 2
                   else _unbroadcast(g @ np.swapaxes(yd, -1, -2), xd.shape))
             x.accumulate(gx.reshape(a.shape))
-        if isinstance(y, Tensor):
-            gy = (xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if yd.ndim == 2
+        if isinstance(y, Tensor) and b.ndim == 2:
+            y.accumulate_product(xd.reshape(-1, xd.shape[-1]).T, g.reshape(-1, g.shape[-1]))
+        elif isinstance(y, Tensor):
+            gy = (xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, 1) if b.ndim == 1
                   else _unbroadcast(np.swapaxes(xd, -1, -2) @ g, yd.shape))
             y.accumulate(gy.reshape(b.shape))
 

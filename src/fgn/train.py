@@ -91,7 +91,10 @@ def train(config: RunConfig, train_set: list, dev_set: list, atlas: GlyphAtlas,
                 raise ValueError("non-finite loss %r at %s" % (loss.item(), where))
             loss.backward()
             for p in params:
-                if not np.isfinite(p.grad).all():
+                # the sum of squares is non-finite whenever an entry is, and is far cheaper than
+                # np.isfinite; that runs only to tell a non-finite entry from an overflowing square
+                g = p.grad
+                if g is not None and not np.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
                     raise ValueError("non-finite gradient in parameter %s at %s" % (p.name, where))
             adam_step(params, opt)
             total += loss.item()

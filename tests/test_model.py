@@ -605,7 +605,7 @@ def test_decodes_do_not_perturb_training(cnn):
         # nonzero gradients, as if a loss were mid-accumulation, survive a decode untouched
         grads = []
         for i, p in enumerate(model.parameters()):
-            p.grad[...] = i + 1.0
+            p.accumulate(np.full(p.shape, i + 1.0))
             grads.append(p.grad.copy())
         model.decode(VOCAB * 3)
         with pytest.raises(ValueError, match="no stored vectors"):
@@ -613,7 +613,7 @@ def test_decodes_do_not_perturb_training(cnn):
         assert is_recording()
         for p, g in zip(model.parameters(), grads):
             assert np.array_equal(p.grad, g)
-            p.grad[...] = 0.0
+            p.grad = None
 
     def fresh():
         return FgnModel(config, scheme, VOCAB, GlyphAtlas(fallback_seed=3))

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from fgn import ops
 from fgn.gradcheck import grad_check
-from fgn.ops import LstmCellParams, conv, dropout, init_lstm_params, lstm_step, pool
-from fgn.tensor import Parameter, Tensor
+from fgn.ops import LstmCellParams, conv, dropout, init_lstm_params, lstm_sequence, lstm_step, pool
+from fgn.optim import AdamState, adam_step
+from fgn.tensor import Parameter, Tensor, matmul
 
 
 def conv2d_loops(x, w):
@@ -466,6 +467,60 @@ def test_lstm_gradient(rng):
         return (h * Tensor(d)).sum() + (c * Tensor(d)).sum()
 
     assert grad_check(loss, [x] + cell.parameters(), eps=1e-5, tolerance=1e-4).passed
+
+
+def lstm_then_weight(rng):
+    """An LSTM cell and a (4, 2) weight it feeds through matmul, with an Adam state for their Parameters."""
+    cell = init_lstm_params(3, 4, rng, prefix="cell")
+    w = Parameter(rng.standard_normal((4, 2)), name="w")
+    params = cell.parameters() + [w]
+    return cell, w, params, AdamState(params)
+
+
+def sentences_loss(cell, w, sentences):
+    """Over each (x, d): matmul of the LSTM states and of the first state with w, weighted by d."""
+    total = 0.0
+    for x, d in sentences:
+        h = lstm_sequence(Tensor(x), cell)
+        total = total + (matmul(h, w) * d).sum() + (matmul(h[0], w) * d[0]).sum()
+    return total
+
+
+def test_weight_gradients_land_in_the_buffers_adam_hands_back(rng):
+    cell, w, params, state = lstm_then_weight(rng)
+    sentence = [(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))]
+    sentences_loss(cell, w, sentence).backward()
+    buffers = [p.grad for p in params]
+    adam_step(params, state)
+    assert all(p.grad is None for p in params)
+    sentences_loss(cell, w, sentence).backward()
+    for p, buffer in zip(params, buffers):
+        assert p.grad is buffer, p.name
+    assert cell.input_weight.grad.any() and cell.hidden_weight.grad.any() and w.grad.any()
+
+
+def test_second_gradient_adds_to_the_bits_of_product_then_add(rng, monkeypatch):
+    # each step's loss sums two sentences, so every weight's second gradient adds to its
+    # first; a one-row sentence gives the hidden weight an empty product
+    data = [[(rng.standard_normal((tau, 3)), rng.standard_normal((tau, 2))) for tau in taus]
+            for taus in ((5, 1), (1, 6), (4, 3))]
+    states = []
+    for old_path in (True, False):
+        if old_path:
+            monkeypatch.setattr(Tensor, "accumulate_product", lambda self, a, b: self.accumulate(a @ b))
+        cell, w, params, state = lstm_then_weight(np.random.default_rng(7))
+        grads = []
+        for sentences in data:
+            sentences_loss(cell, w, sentences).backward()
+            assert old_path or not grads or all(p.grad is g for p, g in zip(params, handed))
+            grads.append([p.grad.copy() for p in params])
+            handed = [p.grad for p in params]
+            adam_step(params, state)
+        states.append((grads, [p.data for p in params] + state.m + state.v))
+        monkeypatch.undo()
+    (old_grads, old_arrays), (new_grads, new_arrays) = states
+    for a, b in zip(sum(old_grads, []) + old_arrays, sum(new_grads, []) + new_arrays):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @settings(deadline=None, max_examples=25)

@@ -40,9 +40,9 @@ def test_first_step_magnitude_is_learning_rate(rng):
 
 
 def test_zero_gradient_steps_are_exact_no_ops(rng):
-    # a Parameter that no loss reaches, such as a frozen table, keeps a zero
-    # gradient: over many steps its moments stay 0 and its value does not move,
-    # while a Parameter beside it trains
+    # a Parameter that no loss reaches, such as a frozen table, has its zero buffer
+    # from AdamState, then no gradient: over many steps its moments stay 0 and its
+    # value does not move, while a Parameter beside it trains
     still = make_param(rng, shape=(3, 4), name="still")
     still.data[0, 0] = -0.0
     live = make_param(rng, name="live")
@@ -50,20 +50,26 @@ def test_zero_gradient_steps_are_exact_no_ops(rng):
     live_before = live.data.copy()
     state = AdamState([still, live], learning_rate=0.1)
     for _ in range(20):
-        live.grad[:] = rng.standard_normal(live.shape)
+        live.accumulate(rng.standard_normal(live.shape))
         adam_step([still, live], state)
         assert np.array_equal(still.data.view(np.int64), before.view(np.int64))
         assert not state.m[0].any() and not state.v[0].any()
-        assert not still.grad.any()
+        assert still.grad is None
     assert not np.array_equal(live.data, live_before)
 
 
-def test_grads_zeroed_after_step(rng):
+def test_no_gradient_after_a_step(rng):
+    # Adam hands the buffer it read back, and the next first gradient is written into it
     p = make_param(rng)
     state = AdamState([p])
     p.grad[:] = 3.0
+    buffer = p.grad
     adam_step([p], state)
-    assert not p.grad.any()
+    assert p.grad is None
+    p.accumulate(np.arange(4.0))
+    assert p.grad is buffer and np.array_equal(p.grad, np.arange(4.0))
+    p.accumulate(np.ones(4))
+    assert p.grad is buffer and np.array_equal(p.grad, np.arange(4.0) + 1.0)
 
 
 def test_state_gives_missing_gradients_and_keeps_present_ones(rng):
@@ -85,7 +91,7 @@ def test_repeated_steps_converge_quadratic(rng):
     p = Parameter(np.array([8.0]), name="x")
     state = AdamState([p], learning_rate=0.1)
     for _ in range(500):
-        p.grad[:] = 2.0 * (p.data - 1.0)
+        p.accumulate(2.0 * (p.data - 1.0))
         adam_step([p], state)
     assert p.data[0] == pytest.approx(1.0, abs=1e-3)
 
@@ -97,17 +103,18 @@ def reference_adam_step(params, state):
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
     for p, m, v in zip(params, state.m, state.v):
-        g = p.grad
+        g = np.zeros(p.shape) if p.grad is None else p.grad
         m *= BETA1
         m += (1.0 - BETA1) * g
         v *= BETA2
         v += (1.0 - BETA2) * g * g
         p.data -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPS)
-        p.grad[...] = 0.0
+        p.grad = None
 
 
 def test_matches_reference_bit_for_bit(rng):
-    # small, multi-block, one row wider than a block, and scalar parameters; one never sees a gradient
+    # small, multi-block, one row wider than a block, and scalar parameters; p1 never sees a
+    # gradient, so after its first step it has none, where the reference reads a zero array
     shapes = [(3, 5), (7,), (2, 3, 4), (300, 250), (2, 40000), ()]
     fast = [make_param(rng, s, name="p%d" % i) for i, s in enumerate(shapes)]
     ref = [Parameter(p.data.copy(), name=p.name) for p in fast]
@@ -115,9 +122,10 @@ def test_matches_reference_bit_for_bit(rng):
     ref_state = AdamState(ref, learning_rate=0.01)
     for _ in range(6):
         for i, (a, b) in enumerate(zip(fast, ref)):
-            g = rng.standard_normal(a.shape) * 10.0 ** rng.integers(-4, 4) * (i != 1)
-            a.grad[...] = g
-            b.grad[...] = g
+            if i != 1:
+                g = rng.standard_normal(a.shape) * 10.0 ** rng.integers(-4, 4)
+                a.accumulate(g)
+                b.grad = g.copy()
         adam_step(fast, fast_state)
         reference_adam_step(ref, ref_state)
         for a, b, ma, mb, va, vb in zip(fast, ref, fast_state.m, ref_state.m,
@@ -125,7 +133,7 @@ def test_matches_reference_bit_for_bit(rng):
             assert np.array_equal(a.data, b.data)
             assert np.array_equal(ma, mb)
             assert np.array_equal(va, vb)
-            assert not a.grad.any()
+            assert a.grad is None
 
 
 def test_state_length_mismatch(rng):
@@ -150,6 +158,13 @@ def test_shape_mismatch_raises_before_anything_changes(rng, wrong):
         getattr(state, wrong)[2] = np.zeros((6,))
     arrays = [p.data for p in params] + [p.grad for p in params[:2]] + state.m + state.v
     before = [a.copy() for a in arrays]
+    if wrong == "no grad":
+        # no mismatch: a missing gradient reads as zero, so c, whose m and v are 0, stays put
+        adam_step(params, state)
+        assert state.step_count == 1 and params[2].grad is None
+        assert np.array_equal(params[2].data.view(np.int64), before[2].view(np.int64))
+        assert not np.array_equal(params[0].data, before[0])
+        return
     with pytest.raises(ValueError, match=r"parameter 2 \(c\)"):
         adam_step(params, state)
     assert state.step_count == 0
@@ -171,7 +186,7 @@ def assert_same_bits(params, state, other, other_state):
     for a, b, ma, mb, va, vb in zip(params, other, state.m, other_state.m, state.v, other_state.v):
         for x, y in ((a.data, b.data), (ma, mb), (va, vb)):
             assert np.array_equal(x.view(np.int64), y.view(np.int64))
-        assert not a.grad.any() and not b.grad.any()
+        assert a.grad is None and b.grad is None
 
 
 def on_cpus(monkeypatch, workers):
@@ -198,7 +213,9 @@ def test_threaded_update_matches_serial_bit_for_bit(rng, monkeypatch, workers):
     assert all(a[-1][0].base is b[0][0].base for a, b in zip(runs, runs[1:]))
     for _ in range(3):
         for a, b in zip(threaded, serial):
-            a.grad[...] = b.grad[...] = rng.standard_normal(a.shape) * 10.0 ** rng.integers(-4, 4)
+            g = rng.standard_normal(a.shape) * 10.0 ** rng.integers(-4, 4)
+            a.accumulate(g)
+            b.accumulate(g)
         threads = on_cpus(monkeypatch, workers)
         # a short switch interval interleaves the threads more than the cores would
         interval = sys.getswitchinterval()
@@ -215,6 +232,31 @@ def test_threaded_update_matches_serial_bit_for_bit(rng, monkeypatch, workers):
             assert len(threads) == workers and threading.current_thread() not in threads
         else:
             assert threads == [threading.current_thread()]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_missing_gradient_steps_like_a_zero_one(rng, monkeypatch, workers):
+    # after a first step with gradients everywhere, every other parameter gets none on one
+    # side and a zero array on the other: with m and v nonzero, both still move, to the same bits
+    monkeypatch.setattr(optim, "ADAM_BLOCK", 8)
+    missing, zeros = twin_params(rng)
+    missing_state, zeros_state = AdamState(missing, 0.01), AdamState(zeros, 0.01)
+    for step in range(4):
+        for i, (a, b) in enumerate(zip(missing, zeros)):
+            if step == 0 or i % 2:
+                g = rng.standard_normal(a.shape)
+                a.accumulate(g)
+                b.accumulate(g)
+            else:
+                b.grad = np.zeros(b.shape)
+        threads = on_cpus(monkeypatch, workers)
+        adam_step(missing, missing_state)
+        if workers > 1 and THREADS_RUN:
+            assert len(threads) == workers and threading.current_thread() not in threads
+        on_cpus(monkeypatch, workers)
+        adam_step(zeros, zeros_state)
+        assert_same_bits(missing, missing_state, zeros, zeros_state)
+    assert all(m.any() for m in missing_state.m)
 
 
 @pytest.mark.parametrize("size", [127, 128])

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from fgn.config import FusionConfig, RunConfig
+from fgn.config import EmbeddingConfig, FusionConfig, RunConfig
 from fgn.corpus import TaggedSentence, evaluate
 from fgn.glyphs import GlyphAtlas
 from fgn.model import FgnModel
@@ -129,6 +129,39 @@ def test_nan_gradient_names_parameter(monkeypatch):
     monkeypatch.setattr(importlib.import_module("fgn.train"), "FgnModel", NanGradient)
     with pytest.raises(ValueError, match=r"gradient in parameter crf/start_scores at epoch 1"):
         train(tiny_config(), TRAIN_SET, DEV_SET, GlyphAtlas(fallback_seed=0))
+
+
+@pytest.mark.parametrize("value", [np.inf, 1e200])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_infinite_gradient_names_parameter_and_a_large_one_trains(monkeypatch, value):
+    # the scan's sum of squares is inf for both; only a non-finite entry stops training
+    class OneEntry(FgnModel):
+        def loss(self, *args, **kwargs):
+            p = self.crf.transitions
+            g = np.zeros(p.shape)
+            g[1, 0] = value
+            kink = Tensor(0.0, (p,))
+            kink._backward = lambda _: p.accumulate(g)
+            return super().loss(*args, **kwargs) + kink
+
+    monkeypatch.setattr(importlib.import_module("fgn.train"), "FgnModel", OneEntry)
+    if value == np.inf:
+        with pytest.raises(ValueError, match=r"non-finite gradient in parameter crf/transitions at epoch 1"):
+            train(tiny_config(), TRAIN_SET, DEV_SET, GlyphAtlas(fallback_seed=0))
+    else:
+        assert len(train(tiny_config(), TRAIN_SET, DEV_SET, GlyphAtlas(fallback_seed=0)).history) == 2
+
+
+def test_frozen_table_trains_two_epochs():
+    # the frozen table's gradient is its zero buffer in the first step and None from
+    # the second on: the finite scan skips it and Adam leaves the table where it is
+    config = tiny_config(embedding=EmbeddingConfig(frozen=True))
+    atlas = GlyphAtlas(fallback_seed=0)
+    result = train(config, TRAIN_SET, DEV_SET, atlas)
+    assert len(result.history) == 2
+    assert result.model.provider.table.grad is None
+    fresh = FgnModel(config, result.model.scheme, sorted({ch for s in TRAIN_SET for ch in s.chars}), atlas)
+    assert np.array_equal(result.model.provider.table.data, fresh.provider.table.data)
 
 
 def test_ablate_grid_order():
