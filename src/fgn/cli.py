@@ -119,7 +119,7 @@ def cmd_ablate(args) -> int:
         train_set, dev_set = split_corpus(synthetic_corpus(pools))
     cells = ablate(config, grid, train_set, dev_set, atlas)
     print(format_ablation_table(cells))
-    return 0
+    return 0 if all(c.error is None for c in cells) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,9 @@
-"""Glyph atlas: one 50x50 grayscale image per character.
+"""Glyph atlas: one 50x50 8-bit grayscale image per character.
 
-Images live on disk as binary PGM files named U+XXXX.pgm. Characters without
-an image get a pseudo-random matrix seeded by (fallback_seed, codepoint),
-drawn anew at each lookup: every run sees the same values, and nothing grows.
+Images live on disk as binary PGM files named U+XXXX.pgm, in memory as one
+uint8 (n, 50, 50) array; a lookup divides a glyph by 255. Characters without an
+image get a pseudo-random matrix seeded by (fallback_seed, codepoint), drawn
+anew at each lookup: every run sees the same values, and nothing grows.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write a [0,1] float or uint8 matrix as binary PGM."""
+    """Write a uint8 matrix as binary PGM."""
     if image.dtype != np.uint8:
-        image = np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
+        raise ValueError("write_pgm takes uint8 pixels, got %s" % image.dtype)
     h, w = image.shape
     with open(path, "wb") as f:
         f.write(b"P5\n%d %d\n255\n" % (w, h))
@@ -63,29 +64,31 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 class GlyphAtlas:
-    """Codepoint -> 50x50 matrix in [0,1], with deterministic fallbacks."""
+    """codepoints[i] -> images[i], a uint8 50x50 glyph read as a [0,1] matrix, with deterministic fallbacks."""
 
-    def __init__(self, entries: dict | None = None, fallback_seed: int = 0):
+    def __init__(self, codepoints=(), images=None, fallback_seed: int = 0):
         self.fallback_seed = int(fallback_seed)
         if self.fallback_seed < 0:
             raise ValueError("glyph fallback_seed must be >= 0, got %d" % self.fallback_seed)
-        self.entries: dict[int, np.ndarray] = {}
-        for cp, img in (entries or {}).items():
-            self.add(cp, img)
-
-    def add(self, codepoint: int, image: np.ndarray) -> None:
-        image = np.array(image, dtype=np.float64)     # a copy the caller cannot change
-        if image.shape != (GLYPH_SIZE, GLYPH_SIZE):
-            raise ValueError("glyph for U+%04X has shape %r, need (%d, %d)"
-                             % (codepoint, image.shape, GLYPH_SIZE, GLYPH_SIZE))
-        image.flags.writeable = False
-        self.entries[int(codepoint)] = image
+        cps = np.asarray(codepoints)
+        if cps.ndim != 1 or (cps.size and cps.dtype.kind not in "iu"):
+            raise ValueError("atlas codepoints must be a 1-d integer array, got %s %r" % (cps.dtype, cps.shape))
+        if len(np.unique(cps)) != len(cps):
+            raise ValueError("atlas codepoints name some character more than once")
+        images = np.zeros((0, GLYPH_SIZE, GLYPH_SIZE), np.uint8) if images is None else np.asarray(images)
+        if images.dtype != np.uint8 or images.shape != (len(cps), GLYPH_SIZE, GLYPH_SIZE):
+            raise ValueError("atlas images are %s %r, need uint8 (%d, %d, %d)"
+                             % (images.dtype, images.shape, len(cps), GLYPH_SIZE, GLYPH_SIZE))
+        self.codepoints = cps.astype(np.int64)
+        self.images = images.copy()     # copies the caller cannot change; entries holds row views
+        self.codepoints.flags.writeable = self.images.flags.writeable = False
+        self.entries: dict[int, np.ndarray] = dict(zip(self.codepoints.tolist(), self.images))
 
     def lookup(self, ch: str) -> np.ndarray:
         img = self.entries.get(ord(ch))
         if img is None:   # a fresh seeded draw, kept nowhere
-            img = np.random.default_rng((self.fallback_seed, ord(ch))).random((GLYPH_SIZE, GLYPH_SIZE))
-        return img
+            return np.random.default_rng((self.fallback_seed, ord(ch))).random((GLYPH_SIZE, GLYPH_SIZE))
+        return img / 255.0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -96,8 +99,7 @@ def load_atlas(path, fallback_seed: int = 0) -> GlyphAtlas:
     root = Path(path)
     if not root.is_dir():
         raise OSError("atlas path %s is not a readable directory" % root)
-    atlas = GlyphAtlas(fallback_seed=fallback_seed)
-    seen = {}
+    seen, images = {}, []
     for p in sorted(root.iterdir()):
         m = _NAME_RE.fullmatch(p.name)
         if not m:
@@ -109,8 +111,9 @@ def load_atlas(path, fallback_seed: int = 0) -> GlyphAtlas:
         if img.shape != (GLYPH_SIZE, GLYPH_SIZE):
             raise ValueError("%s: glyph image is %dx%d, need %dx%d"
                              % (p.name, img.shape[1], img.shape[0], GLYPH_SIZE, GLYPH_SIZE))
-        atlas.add(cp, img.astype(np.float64) / 255.0)
-    return atlas
+        images.append(img)
+    return GlyphAtlas(list(seen), np.array(images, np.uint8).reshape((-1, GLYPH_SIZE, GLYPH_SIZE)),
+                      fallback_seed)
 
 
 def sentence_to_graphs(atlas: GlyphAtlas, sentence: str) -> list:

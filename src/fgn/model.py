@@ -3,7 +3,7 @@
 A model file carries everything needed to run stand-alone: parameters, the
 config, the label scheme, the character vocabulary, and the glyph atlas, all
 as the records of a `serialize` file: meta/model (a JSON string with
-"format": 2), atlas/codepoints, atlas/images and one param/<name> per
+"format": 3), atlas/codepoints, atlas/images (uint8) and one param/<name> per
 parameter. Loading builds the model with its parameters unset, drawing no
 initial values, and then fills every parameter from the file, so a save/load
 round trip is bit-exact. A sentence runs through the network as one (tau, d)
@@ -25,7 +25,7 @@ from .config import RunConfig, config_from_dict, config_to_dict
 from .corpus import TaggedSentence
 from .embedding import FileBackedEmbedding, LookupTableEmbedding
 from .fusion import fuse_character, init_fusion_params
-from .glyphs import GLYPH_SIZE, GlyphAtlas, sentence_to_graphs
+from .glyphs import GlyphAtlas, sentence_to_graphs
 from .serialize import read_records, write_records
 from .tagger import (LabelScheme, bilstm_encode, init_crf_params,
                      init_tagger_params, nll_loss, viterbi_decode)
@@ -118,19 +118,17 @@ class FgnModel:
 
     def save(self, path) -> None:
         meta = {
-            "format": 2,
+            "format": 3,
             "config": config_to_dict(self.config),
             "entity_types": list(self.scheme.entity_types),
             "labels": list(self.scheme.labels),
             "vocab": "".join(self.vocab),
             "fallback_seed": self.atlas.fallback_seed,
         }
-        codepoints = sorted(self.atlas.entries)
-        images = np.array([self.atlas.entries[cp] for cp in codepoints])
         records = {
             "meta/model": np.array(json.dumps(meta)),
-            "atlas/codepoints": np.array(codepoints, dtype=np.int64),
-            "atlas/images": images.reshape((len(codepoints), GLYPH_SIZE, GLYPH_SIZE)),
+            "atlas/codepoints": self.atlas.codepoints,
+            "atlas/images": self.atlas.images,
         }
         for p in self.parameters():
             records["param/" + p.name] = p.data
@@ -140,12 +138,8 @@ class FgnModel:
     def load(cls, path) -> "FgnModel":
         records = read_records(path)
         config, meta = _read_meta(path, records)
-        cps, images = records.get("atlas/codepoints"), records.get("atlas/images")
-        if (cps is None or images is None or cps.ndim != 1 or cps.dtype.kind not in "iu"
-                or len(np.unique(cps)) != len(cps)
-                or images.shape != (len(cps), GLYPH_SIZE, GLYPH_SIZE) or images.dtype.kind != "f"):
-            raise OSError("model file %s needs 1-d integer atlas/codepoints, each once, and matching "
-                          "(n, %d, %d) float atlas/images records" % (path, GLYPH_SIZE, GLYPH_SIZE))
+        if "atlas/codepoints" not in records or "atlas/images" not in records:
+            raise OSError("model file %s has no atlas/codepoints and atlas/images records" % path)
         scheme = LabelScheme.from_entity_types(meta["entity_types"])
         if tuple(meta["labels"]) != scheme.labels:
             raise OSError("model file %s: stored labels %s are not those of entity types %s, %s"
@@ -156,7 +150,7 @@ class FgnModel:
         if config.embedding.kind == "file_backed":
             no_vectors = FileBackedEmbedding([], config.d_char)
         try:
-            atlas = GlyphAtlas(dict(zip(cps.tolist(), images)), meta["fallback_seed"])
+            atlas = GlyphAtlas(records["atlas/codepoints"], records["atlas/images"], meta["fallback_seed"])
             model = cls(config, scheme, meta["vocab"], atlas, no_vectors, _NoDraw())
         except ValueError as err:
             raise OSError("model file %s: %s" % (path, err)) from None
@@ -185,8 +179,8 @@ def _read_meta(path, records: dict) -> tuple:
         raise OSError("model file %s: meta/model is not JSON" % path) from None
     if not isinstance(meta, dict):
         raise OSError("model file %s: meta/model is not a JSON object" % path)
-    if meta.get("format") != 2:
-        raise OSError("model file %s has unsupported format %r" % (path, meta.get("format")))
+    if meta.get("format") != 3:     # format 2 held float64 glyphs: refused, not converted
+        raise OSError("model file %s has format %r; this version reads format 3" % (path, meta.get("format")))
     for key, kind in _META_TYPES.items():
         if type(meta.get(key)) is not kind:     # JSON true is no int seed
             raise OSError("model file %s: meta/model has no %s %s" % (path, kind.__name__, key))

@@ -3,7 +3,7 @@
 Entity type is carried by a shared quadrant pattern: every PER glyph has the
 same striped top-left quadrant, every LOC glyph the same striped bottom-right
 quadrant, and filler glyphs have neither; the rest of each image is per-glyph
-texture. Glyphs are quantized to 8 bits so a PGM round trip is exact.
+texture. Glyphs are 8-bit, as a PGM file is, so a PGM round trip is exact.
 """
 
 from __future__ import annotations
@@ -36,15 +36,14 @@ def synthetic_atlas(per_pool: int = 10, filler: int = 10, seed: int = 7,
                     fallback_seed: int = 0) -> tuple:
     """(atlas, pools) where pools maps PER/LOC/O to the characters carrying each pattern."""
     rng = np.random.default_rng(seed)
-    atlas = GlyphAtlas(fallback_seed=fallback_seed)
+    images = []
     pools = {"PER": "", "LOC": "", "O": ""}
-    cp = FIRST_CODEPOINT
     for pool, count in (("PER", per_pool), ("LOC", per_pool), ("O", filler)):
         for _ in range(count):
-            atlas.add(cp, _glyph_image(rng, pool).astype(np.float64) / 255.0)
-            pools[pool] += chr(cp)
-            cp += 1
-    return atlas, pools
+            pools[pool] += chr(FIRST_CODEPOINT + len(images))
+            images.append(_glyph_image(rng, pool))
+    images = np.array(images, np.uint8).reshape((-1, GLYPH_SIZE, GLYPH_SIZE))
+    return GlyphAtlas(FIRST_CODEPOINT + np.arange(len(images)), images, fallback_seed), pools
 
 
 def _bmes(entity_type: str, length: int) -> list:

@@ -151,8 +151,11 @@ def bilstm_encode(x: Tensor, params: TaggerParams, rng: np.random.Generator | No
 
 def _score_table(hs, crf: CrfParams, scheme: LabelScheme | None, penalty: float = MASK_PENALTY):
     """Emission, transition and start arrays of the likelihood, Viterbi and the oracles; masked given a scheme."""
+    h = stack_rows(hs).data
+    if len(h) == 0:
+        raise ValueError("the CRF needs at least one hidden state; the sentence is empty")
     tmask, smask = (0.0, 0.0) if scheme is None else scheme.transition_penalties(penalty)
-    emissions = stack_rows(hs).data @ crf.emission_weight.data.T
+    emissions = h @ crf.emission_weight.data.T
     return emissions, crf.transitions.data + tmask, crf.start_scores.data + smask
 
 

@@ -12,7 +12,5 @@ def rng():
 @pytest.fixture
 def tiny_atlas():
     """Two stored glyphs plus deterministic fallbacks for everything else."""
-    atlas = GlyphAtlas(fallback_seed=5)
-    atlas.add(0x6211, np.full((50, 50), 0.25))
-    atlas.add(0x7231, np.linspace(0, 1, 2500).reshape(50, 50))
-    return atlas
+    images = np.stack([np.full((50, 50), 64), np.linspace(0, 255, 2500).reshape(50, 50)]).astype(np.uint8)
+    return GlyphAtlas([0x6211, 0x7231], images, fallback_seed=5)

@@ -223,6 +223,23 @@ def test_ablate_with_files(workspace, capsys):
     assert "none" in out
 
 
+def test_ablate_exits_1_after_the_table_when_a_cell_failed(workspace, capsys):
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["embedding"] = {"kind": "file_backed"}      # no embedding.path: the cell cannot build
+    (workspace / "no_vectors.json").write_text(json.dumps(config), encoding="utf-8")
+    grid = workspace / "grid.json"
+    grid.write_text(json.dumps({"tagger": ["none"]}), encoding="utf-8")
+    code = main(["ablate", "--config", str(workspace / "no_vectors.json"),
+                 "--grid", str(grid),
+                 "--train", str(workspace / "train.txt"),
+                 "--dev", str(workspace / "dev.txt"),
+                 "--atlas", str(workspace / "glyphs")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.splitlines()[0].split()[:3] == ["cnn", "fusion", "tagger"]
+    assert "failed: file_backed embeddings need embedding.path in the config" in out
+
+
 def test_ablate_partial_data_flags_rejected(workspace, capsys):
     grid = workspace / "grid.json"
     grid.write_text(json.dumps({"tagger": ["none"]}), encoding="utf-8")

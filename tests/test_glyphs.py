@@ -8,13 +8,15 @@ from fgn.glyphs import (GLYPH_SIZE, GlyphAtlas, load_atlas, read_pgm,
 
 
 def test_pgm_roundtrip(tmp_path, rng):
-    img = rng.random((50, 50))
+    img = rng.integers(0, 256, size=(50, 40), dtype=np.uint8)
     p = tmp_path / "U+4E00.pgm"
     write_pgm(p, img)
-    back = read_pgm(p).astype(np.float64) / 255.0
-    # one quantization trip through uint8
-    assert back.shape == (50, 50)
-    assert np.max(np.abs(back - img)) <= 0.5 / 255.0 + 1e-9
+    back = read_pgm(p)
+    assert back.dtype == np.uint8
+    np.testing.assert_array_equal(back, img)
+    with pytest.raises(ValueError, match="float64"):     # no silent quantization of float pixels
+        write_pgm(tmp_path / "U+4E01.pgm", img / 255.0)
+    assert not (tmp_path / "U+4E01.pgm").exists()
 
 
 def test_pgm_comment_and_whitespace_header(tmp_path):
@@ -41,28 +43,28 @@ def test_pgm_rejects_truncated(tmp_path):
 
 
 def test_load_atlas_normalizes(tmp_path):
-    write_pgm(tmp_path / "U+6211.pgm", np.ones((50, 50)))
+    write_pgm(tmp_path / "U+6211.pgm", np.full((50, 50), 255, np.uint8))
     atlas = load_atlas(tmp_path)
     assert len(atlas) == 1
     assert np.array_equal(atlas.lookup("我"), np.ones((50, 50)))
 
 
 def test_load_atlas_ignores_unrelated_files(tmp_path):
-    write_pgm(tmp_path / "U+6211.pgm", np.zeros((50, 50)))
+    write_pgm(tmp_path / "U+6211.pgm", np.zeros((50, 50), np.uint8))
     (tmp_path / "README.txt").write_text("not a glyph")
     assert len(load_atlas(tmp_path)) == 1
 
 
 def test_load_atlas_rejects_wrong_dims(tmp_path):
-    write_pgm(tmp_path / "U+6211.pgm", np.zeros((40, 40)))
+    write_pgm(tmp_path / "U+6211.pgm", np.zeros((40, 40), np.uint8))
     with pytest.raises(ValueError, match="U\\+6211"):
         load_atlas(tmp_path)
 
 
 def test_load_atlas_rejects_two_files_of_one_codepoint(tmp_path):
     # U+4E00 and U+04E00 both parse to 0x4E00; neither may silently replace the other
-    write_pgm(tmp_path / "U+4E00.pgm", np.zeros((50, 50)))
-    write_pgm(tmp_path / "U+04E00.pgm", np.ones((50, 50)))
+    write_pgm(tmp_path / "U+4E00.pgm", np.zeros((50, 50), np.uint8))
+    write_pgm(tmp_path / "U+04E00.pgm", np.ones((50, 50), np.uint8))
     with pytest.raises(ValueError, match=r"U\+04E00\.pgm and U\+4E00\.pgm both name U\+4E00"):
         load_atlas(tmp_path)
 
@@ -96,10 +98,36 @@ def test_stored_glyph_bit_stable(tiny_atlas):
     assert first is again or np.array_equal(first, again)
 
 
-def test_atlas_rejects_wrong_shape_add():
-    atlas = GlyphAtlas()
-    with pytest.raises(ValueError):
-        atlas.add(0x41, np.zeros((10, 10)))
+def test_atlas_holds_read_only_copies():
+    cps, images = np.array([0x41, 0x42]), np.zeros((2, 50, 50), np.uint8)
+    atlas = GlyphAtlas(cps, images)
+    cps[0], images[:] = 0x43, 9     # the caller's arrays change; the atlas does not
+    assert list(atlas.entries) == [0x41, 0x42]
+    assert not atlas.lookup("A").any()
+    assert atlas.entries[0x42].base is atlas.images
+    with pytest.raises(ValueError, match="read-only"):
+        atlas.entries[0x41][0, 0] = 1
+
+
+GOOD_CPS = [0x41, 0x42]
+GOOD_IMAGES = np.zeros((2, 50, 50), np.uint8)
+
+
+@pytest.mark.parametrize("cps, images", [
+    (GOOD_CPS, np.zeros((2, 10, 10), np.uint8)),
+    (GOOD_CPS, GOOD_IMAGES.astype(np.float64)),
+    (GOOD_CPS, GOOD_IMAGES[:1]),
+    (GOOD_CPS, None),
+    ([0x41, 0x41], GOOD_IMAGES),
+    ([[0x41, 0x42]], GOOD_IMAGES[None]),
+    ([65.0, 66.0], GOOD_IMAGES),
+    (None, GOOD_IMAGES),
+], ids=["10x10_images", "float_images", "one_image_short", "no_images", "repeated_codepoint",
+        "2d_codepoints", "float_codepoints", "no_codepoints"])
+def test_atlas_rejects_bad_records(cps, images):
+    GlyphAtlas(GOOD_CPS, GOOD_IMAGES)     # the good records build
+    with pytest.raises(ValueError, match="atlas"):
+        GlyphAtlas(cps, images)
 
 
 def test_sentence_to_graphs(tiny_atlas):

@@ -20,6 +20,7 @@ from fgn.glyphs import GlyphAtlas, sentence_to_graphs
 from fgn.model import FgnModel
 from fgn.optim import AdamState, adam_step, zero_grads
 from fgn.serialize import read_records, write_records
+from fgn.synth import synthetic_atlas
 from fgn.tagger import TAGGER_VARIANTS, LabelScheme, bilstm_encode, nll_loss
 from fgn.tensor import (Parameter, Tensor, _openblas_threads, concat, is_recording, no_grad, sigmoid,
                         softmax, stack_rows)
@@ -108,6 +109,7 @@ def test_save_load_roundtrip_is_bit_exact(model, tmp_path):
     assert loaded.config == model.config
     assert loaded.scheme == model.scheme
     assert loaded.vocab == model.vocab
+    assert len(loaded.atlas) == 0 and loaded.atlas.images.shape == (0, 50, 50)   # an empty atlas round-trips
     for pa, pb in zip(model.parameters(), loaded.parameters()):
         assert pa.name == pb.name
         np.testing.assert_array_equal(pa.data, pb.data)
@@ -127,16 +129,29 @@ def test_loaded_model_holds_no_gradients(model, tmp_path):
 
 def test_save_embeds_atlas(tmp_path):
     scheme = LabelScheme.from_entity_types(("LOC",))
-    atlas = GlyphAtlas(fallback_seed=9)
-    img = np.linspace(0.0, 1.0, 2500).reshape(50, 50)
-    atlas.add(0x5317, img)
-    model = FgnModel(tiny_config(), scheme, "北", atlas)
+    img = np.linspace(0, 255, 2500).astype(np.uint8).reshape(50, 50)
+    model = FgnModel(tiny_config(), scheme, "北", GlyphAtlas([0x5317], img[None], fallback_seed=9))
     path = tmp_path / "model.fgn"
     model.save(path)
     loaded = FgnModel.load(path)
     assert loaded.atlas.fallback_seed == 9
     assert set(loaded.atlas.entries) == {0x5317}
     np.testing.assert_array_equal(loaded.atlas.entries[0x5317], img)
+
+
+def test_saved_glyphs_are_bytes_the_loaded_model_reads_over_255(tmp_path):
+    atlas, pools = synthetic_atlas(per_pool=2, filler=2)
+    vocab = "".join(pools.values())
+    path = tmp_path / "model.fgn"
+    FgnModel(tiny_config(), LabelScheme.from_entity_types(("LOC", "PER")), vocab, atlas).save(path)
+    records = read_records(path)
+    assert json.loads(str(records["meta/model"]))["format"] == 3
+    assert records["atlas/images"].dtype == np.uint8 and records["atlas/images"].shape == (6, 50, 50)
+    loaded = FgnModel.load(path)
+    assert list(loaded.atlas.entries) == list(atlas.entries)
+    for cp, img in atlas.entries.items():
+        # bit for bit the float64 glyph of a byte image: each byte over 255
+        assert loaded.atlas.lookup(chr(cp)).tobytes() == (img.astype(np.float64) / 255.0).tobytes()
 
 
 def test_constrained_decode_respects_scheme(tmp_path):
@@ -229,7 +244,7 @@ def test_load_rejects_mismatched_atlas(tmp_path, model):
 
 
 @pytest.mark.parametrize("meta", [
-    1.5, "[1, 2]", '{"format": 2}', "not json", {"format": 1}, {"vocab": 7}, {"labels": "O"},
+    1.5, "[1, 2]", '{"format": 3}', "not json", {"format": 1}, {"vocab": 7}, {"labels": "O"},
     {"labels": [0]}, {"fallback_seed": "1"}, {"fallback_seed": True}, {"config": []}, {"config": {"cnn": {"variant": "dense"}}},
     {"config": {"cnn": {"pyramid_channels": 4}}},
 ], ids=["float", "list", "format_only", "not_json", "format_1", "int_vocab", "string_labels",
@@ -249,8 +264,7 @@ def test_load_rejects_malformed_meta(tmp_path, model, meta):
 @pytest.fixture(scope="module")
 def two_type_file(tmp_path_factory):
     """A saved LOC/PER model whose atlas holds one glyph, U+4E00."""
-    atlas = GlyphAtlas(fallback_seed=3)
-    atlas.add(0x4E00, np.linspace(0.0, 1.0, 2500).reshape(50, 50))
+    atlas = GlyphAtlas([0x4E00], np.linspace(0, 255, 2500).astype(np.uint8).reshape(1, 50, 50), fallback_seed=3)
     path = tmp_path_factory.mktemp("two_type") / "model.fgn"
     FgnModel(tiny_config(), LabelScheme.from_entity_types(("LOC", "PER")), VOCAB, atlas).save(path)
     return path
@@ -289,12 +303,21 @@ def repeat_atlas_entry(records):
     records["atlas/images"] = np.repeat(records["atlas/images"], 2, axis=0)
 
 
+def as_format_2(records):
+    """The file as the float64-glyph format 2 wrote it."""
+    edit_meta(lambda meta: {**meta, "format": 2})(records)
+    records["atlas/images"] = records["atlas/images"] / 255.0
+
+
 @pytest.mark.parametrize("change", [
     edit_meta(swap_b_per_b_loc),
     edit_meta(lambda meta: {**meta, "fallback_seed": -1}),
     edit_meta(lambda meta: {**meta, "vocab": "我我爱"}),
     edit_record("atlas/images", lambda a: a[:, :49, :49]),
-    edit_record("atlas/images", lambda a: (a * 255).astype(np.uint8)),
+    edit_record("atlas/images", lambda a: a / 255.0),
+    as_format_2,
+    lambda records: records.pop("atlas/codepoints"),
+    lambda records: records.pop("atlas/images"),
     edit_record("atlas/codepoints", lambda a: a.astype(np.float64)),
     edit_record("atlas/codepoints", lambda a: a.reshape(1, -1)),
     repeat_atlas_entry,
@@ -303,8 +326,8 @@ def repeat_atlas_entry(records):
     set_config_value("embedding.frozen", "false"),
     set_config_value("seed", True),
     set_config_value("epochs", 2.5),
-], ids=["swapped_labels", "negative_fallback_seed", "repeated_vocab", "49x49_images", "uint8_images",
-        "float_codepoints", "2d_codepoints", "repeated_codepoint", "string_include_parts",
+], ids=["swapped_labels", "negative_fallback_seed", "repeated_vocab", "49x49_images", "float_images",
+        "format_2", "no_codepoints", "no_images", "float_codepoints", "2d_codepoints", "repeated_codepoint", "string_include_parts",
         "string_constrain_transitions", "string_frozen", "bool_config_seed", "float_epochs"])
 def test_load_rejects_unusable_records(tmp_path, two_type_file, change):
     records = read_records(two_type_file)

@@ -1,7 +1,14 @@
 """Synthetic atlas/corpus generators used by the end-to-end checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import fgn
+from fgn.config import default_config, load_config
 from fgn.corpus import decode_entities
 from fgn.glyphs import load_atlas
 from fgn.synth import (split_corpus, synthetic_atlas, synthetic_corpus,
@@ -15,8 +22,8 @@ def test_atlas_size_and_pools():
     all_chars = pools["PER"] + pools["LOC"] + pools["O"]
     assert len(set(all_chars)) == 30
     for img in atlas.entries.values():
-        assert img.shape == (50, 50)
-        assert img.min() >= 0.0 and img.max() <= 1.0
+        assert img.shape == (50, 50) and img.dtype == np.uint8
+        assert img.max() <= 230      # texture below 81, stripes 25 and 230
 
 
 def test_pool_glyphs_share_quadrant_pattern():
@@ -100,3 +107,17 @@ def test_atlas_dir_roundtrip(tmp_path):
     for cp in atlas.entries:
         # glyphs are 8-bit quantized, so the PGM round trip is exact
         np.testing.assert_array_equal(back.entries[cp], atlas.entries[cp])
+
+
+def test_make_synthetic_data_script(tmp_path):
+    # the one path from synthetic_atlas through write_pgm to disk
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_data.py"
+    src = str(Path(fgn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, str(script), "--out", str(tmp_path), "--per-pool", "2"],
+                   env=env, check=True, capture_output=True, timeout=120)
+    expected, _ = synthetic_atlas(per_pool=2, filler=2, seed=7)
+    back = load_atlas(tmp_path / "glyphs")
+    assert list(back.entries) == list(expected.entries)
+    assert back.images.dtype == np.uint8 and back.images.tobytes() == expected.images.tobytes()
+    assert load_config(tmp_path / "config.json") == default_config()

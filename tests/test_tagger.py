@@ -371,6 +371,18 @@ def test_nll_rejects_empty_batch():
         nll_loss([], crf)
 
 
+@pytest.mark.parametrize("score", [
+    lambda hs, crf: crf_log_likelihood(hs, [], crf),
+    lambda hs, crf: viterbi_decode(hs, crf),
+    lambda hs, crf: brute_force_loglik(hs, [], crf),
+    lambda hs, crf: brute_force_best(hs, crf),
+], ids=["loglik", "viterbi", "brute_force_loglik", "brute_force_best"])
+def test_crf_rejects_empty_sentence(score):
+    crf = make_crf(3, 4, default_rng(0))
+    with pytest.raises(ValueError, match="empty"):
+        score(Tensor(np.zeros((0, 4))), crf)
+
+
 def test_loglik_rejects_bad_labels():
     rng = default_rng(9)
     crf = make_crf(3, 4, rng)
