@@ -7,7 +7,9 @@ a small config. Each cell builds its model from one seed and takes 3 Adam
 steps on 3 sentences with dropout on. The records of a cell are the loss and
 every parameter gradient of each step, the parameters after the last step,
 and the hidden states and decoded label indices of the 3 sentences. The
-file-backed vectors are drawn from a seed and written by the script itself.
+atlas stores seeded 8-bit glyphs for some characters, and the others draw
+fallbacks. The file-backed vectors are drawn from a seed and written by the
+script itself.
 
     PYTHONPATH=src python3 scripts/fingerprint.py --out new.fp
     PYTHONPATH=src python3 scripts/fingerprint.py --compare old.fp new.fp
@@ -49,6 +51,7 @@ SENTENCES = (
     TaggedSentence("天安我", ("B-LOC", "E-LOC", "O"), 2),
 )
 VOCAB = "我爱北京天安门"   # 在 is unseen: it takes the UNK row
+STORED_GLYPHS = "我北天门"   # seeded 8-bit glyphs; the other characters draw fallbacks
 
 
 def cell_config(cnn: str, fusion: str, tagger: str, embedding: str, constrain: bool, vectors: str) -> RunConfig:
@@ -89,7 +92,8 @@ def cell_records(config: RunConfig, scheme: LabelScheme, atlas: GlyphAtlas) -> d
 
 def write_fingerprint(path) -> int:
     scheme = LabelScheme.from_entity_types(("LOC",))
-    atlas = GlyphAtlas(fallback_seed=3)
+    glyphs = np.random.default_rng(13).integers(0, 256, (len(STORED_GLYPHS), 50, 50), dtype=np.uint8)
+    atlas = GlyphAtlas([ord(ch) for ch in STORED_GLYPHS], glyphs, fallback_seed=3)
     rng = np.random.default_rng(5)
     records = {}
     with tempfile.TemporaryDirectory() as tmp:

@@ -9,8 +9,8 @@ Activations stay channels-last, (tau, H, W, C), from the glyph stack to the
 2x2 grid: the 3-d convolutions read tau as a spatial axis, the 2-d convs and
 pools as a batch axis. Each 3-d conv runs as one 2-d im2col over (H, W) with
 its three taps along tau stacked as output channels, then sums the shifted
-rows (ops.conv), so its im2col has 9 C_in columns, not 27 C_in. The glyph
-stack enters as a constant array, so no gradient is computed for raw pixels.
+rows (ops.conv), so its im2col has 9 C_in columns, not 27 C_in. The glyphs
+enter as one constant (tau, 50, 50) array, so no gradient is computed for them.
 
 While a graph is recorded (training, gradient checks) the whole sentence is
 one chunk. Under no_grad (decoding) it is encoded CHUNK rows at a time: the
@@ -131,17 +131,14 @@ def long_sentence(tau: int) -> bool:
     return tau > CHUNK
 
 
-def encode_sequence(graphs: list, config: CgsCnnConfig, params: dict,
+def encode_sequence(graphs, config: CgsCnnConfig, params: dict,
                     rng: np.random.Generator | None = None) -> Tensor:
-    """tau glyphs -> (tau, 64) glyph vectors, one row per character; rng, if given, draws dropout."""
-    if len(graphs) == 0:
-        raise ValueError("encode_sequence needs at least one graph")
-    for i, g in enumerate(graphs):
-        if np.shape(g) != (GLYPH_SIZE, GLYPH_SIZE):
-            raise ValueError("graph %d has shape %r, need (%d, %d)"
-                             % (i, np.shape(g), GLYPH_SIZE, GLYPH_SIZE))
+    """(tau, 50, 50) glyphs -> (tau, 64) glyph vectors, one row per character; rng, if given, draws dropout."""
+    graphs = np.asarray(graphs, dtype=np.float64)
+    if graphs.shape[1:] != (GLYPH_SIZE, GLYPH_SIZE) or len(graphs) == 0:
+        raise ValueError("glyphs have shape %r, need (tau > 0, %d, %d)" % (graphs.shape, GLYPH_SIZE, GLYPH_SIZE))
     tau = len(graphs)
-    stacked = np.stack([np.asarray(g, dtype=np.float64) for g in graphs])[..., None]   # (tau, 50, 50, 1)
+    stacked = graphs[..., None]                           # (tau, 50, 50, 1)
     if is_recording() or not long_sentence(tau):
         x = _glyph_vectors(_mix(stacked, config, params), config, params)
     else:

@@ -111,7 +111,7 @@ def _build_encode_sequence():
     rng = np.random.default_rng(110)
     config = CgsCnnConfig(dropout_rate=0.0)
     params = init_cgs_params(config, np.random.default_rng(0))
-    graphs = [rng.random((50, 50)) for _ in range(2)]
+    graphs = rng.random((2, 50, 50))
     dirs = rng.standard_normal((2, 64))
     return (lambda: _dot(encode_sequence(graphs, config, params), dirs)), list(params.values())
 

@@ -1,9 +1,9 @@
 """Glyph atlas: one 50x50 8-bit grayscale image per character.
 
 Images live on disk as binary PGM files named U+XXXX.pgm, in memory as one
-uint8 (n, 50, 50) array; a lookup divides a glyph by 255. Characters without an
-image get a pseudo-random matrix seeded by (fallback_seed, codepoint), drawn
-anew at each lookup: every run sees the same values, and nothing grows.
+uint8 (n, 50, 50) array; a sentence's glyphs are its rows over 255, one float64
+(tau, 50, 50) array. A character without an image gets a pseudo-random matrix
+seeded by (fallback_seed, codepoint), drawn anew into its row at each gather.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ class GlyphAtlas:
         cps = np.asarray(codepoints)
         if cps.ndim != 1 or (cps.size and cps.dtype.kind not in "iu"):
             raise ValueError("atlas codepoints must be a 1-d integer array, got %s %r" % (cps.dtype, cps.shape))
+        if cps.size and not 0 <= cps.min() <= cps.max() <= 0x10FFFF:
+            raise ValueError("atlas codepoints span %#x..%#x, outside [0, 0x10ffff]" % (cps.min(), cps.max()))
         if len(np.unique(cps)) != len(cps):
             raise ValueError("atlas codepoints name some character more than once")
         images = np.zeros((0, GLYPH_SIZE, GLYPH_SIZE), np.uint8) if images is None else np.asarray(images)
@@ -80,15 +82,9 @@ class GlyphAtlas:
             raise ValueError("atlas images are %s %r, need uint8 (%d, %d, %d)"
                              % (images.dtype, images.shape, len(cps), GLYPH_SIZE, GLYPH_SIZE))
         self.codepoints = cps.astype(np.int64)
-        self.images = images.copy()     # copies the caller cannot change; entries holds row views
+        self.images = images.copy()     # copies the caller cannot change
         self.codepoints.flags.writeable = self.images.flags.writeable = False
-        self.entries: dict[int, np.ndarray] = dict(zip(self.codepoints.tolist(), self.images))
-
-    def lookup(self, ch: str) -> np.ndarray:
-        img = self.entries.get(ord(ch))
-        if img is None:   # a fresh seeded draw, kept nowhere
-            return np.random.default_rng((self.fallback_seed, ord(ch))).random((GLYPH_SIZE, GLYPH_SIZE))
-        return img / 255.0
+        self.entries: dict[int, int] = {cp: row for row, cp in enumerate(self.codepoints.tolist())}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -116,8 +112,13 @@ def load_atlas(path, fallback_seed: int = 0) -> GlyphAtlas:
                       fallback_seed)
 
 
-def sentence_to_graphs(atlas: GlyphAtlas, sentence: str) -> list:
-    """One 50x50 matrix per character, in order."""
+def sentence_to_graphs(atlas: GlyphAtlas, sentence: str) -> np.ndarray:
+    """The float64 (tau, 50, 50) glyphs of a sentence, row t that of character t."""
     if len(sentence) == 0:
         raise ValueError("cannot build a graph sequence from an empty sentence")
-    return [atlas.lookup(ch) for ch in sentence]
+    rows = np.fromiter((atlas.entries.get(ord(ch), -1) for ch in sentence), np.int64, len(sentence))
+    graphs = np.empty((len(sentence), GLYPH_SIZE, GLYPH_SIZE))
+    graphs[rows >= 0] = atlas.images[rows[rows >= 0]] / 255.0
+    for t in np.flatnonzero(rows < 0):     # a fresh seeded draw, kept nowhere
+        np.random.default_rng((atlas.fallback_seed, ord(sentence[t]))).random(out=graphs[t])
+    return graphs

@@ -99,5 +99,5 @@ def split_corpus(sentences: list, dev_fraction: float = 0.2) -> tuple:
 def write_atlas_dir(atlas: GlyphAtlas, path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    for cp, img in sorted(atlas.entries.items()):
+    for cp, img in zip(atlas.codepoints.tolist(), atlas.images):
         write_pgm(root / ("U+%04X.pgm" % cp), img)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,29 +139,27 @@ def ablate(config: RunConfig, grid: dict, train_set: list, dev_set: list,
     for key, values in grid.items():
         if key not in allowed:
             raise ValueError("unknown ablation axis %r (have: cnn, fusion, tagger)" % key)
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ValueError("ablation axis %r needs a non-empty list of variants, got %r" % (key, values))
         for v in values:
             if v not in allowed[key]:
                 raise ValueError("unknown %s variant %r" % (key, v))
-    cnns = list(grid.get("cnn", [config.cnn.variant]))
-    fusions = list(grid.get("fusion", [config.fusion.variant]))
-    taggers = list(grid.get("tagger", [config.tagger.variant]))
+    axes = [grid.get(key, [getattr(config, key).variant]) for key in ("cnn", "fusion", "tagger")]
 
     cells = []
-    for cnn in cnns:
-        for fusion in fusions:
-            for tagger in taggers:
-                cell = AblationCell(cnn=cnn, fusion=fusion, tagger=tagger)
-                try:
-                    cfg = with_variants(config, cnn=cnn, fusion=fusion, tagger=tagger)
-                    result = train(cfg, train_set, dev_set, atlas)
-                    cell.precision = result.best_precision
-                    cell.recall = result.best_recall
-                    cell.f1 = result.best_f1
-                except Exception as exc:   # a failed cell must not sink the grid
-                    cell.error = str(exc)
-                cells.append(cell)
-                if log is not None:
-                    log(format_cell(cell))
+    for cnn, fusion, tagger in itertools.product(*axes):
+        cell = AblationCell(cnn=cnn, fusion=fusion, tagger=tagger)
+        try:
+            cfg = with_variants(config, cnn=cnn, fusion=fusion, tagger=tagger)
+            result = train(cfg, train_set, dev_set, atlas)
+            cell.precision = result.best_precision
+            cell.recall = result.best_recall
+            cell.f1 = result.best_f1
+        except Exception as exc:   # a failed cell must not sink the grid
+            cell.error = str(exc)
+        cells.append(cell)
+        if log is not None:
+            log(format_cell(cell))
     return cells
 
 

@@ -1,5 +1,6 @@
 """Glyph sequence encoder: shapes, variants, and sequence-axis locality."""
 
+import re
 import sys
 import threading
 
@@ -9,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from fgn import cgs_cnn, ops
 from fgn.cgs_cnn import CHUNK, CNN_VARIANTS, CgsCnnConfig, encode_sequence, init_cgs_params
+from fgn.glyphs import sentence_to_graphs
 from fgn.tensor import _openblas_threads, no_grad
 
 
@@ -101,10 +103,23 @@ def test_config_validation():
 def test_rejects_bad_graphs(rng):
     config = CgsCnnConfig()
     params = init_cgs_params(config, rng)
-    with pytest.raises(ValueError):
-        encode_sequence([], config, params)
-    with pytest.raises(ValueError):
-        encode_sequence([np.zeros((10, 10))], config, params)
+    for graphs in ([], [np.zeros((10, 10))], np.zeros((1, 50, 40)), np.zeros((0, 50, 50))):
+        with pytest.raises(ValueError, match="glyphs have shape " + re.escape(str(np.shape(graphs)))):
+            encode_sequence(graphs, config, params)
+
+
+@pytest.mark.parametrize("sentence", ["我A我爱B", "我A我爱B" * 4], ids=["one_chunk", "threaded_chunks"])
+def test_glyph_array_and_its_rows_encode_alike(tiny_atlas, sentence):
+    # the model passes sentence_to_graphs' one array; the acceptance checks pass lists of 50x50 matrices
+    config = CgsCnnConfig()
+    params = init_cgs_params(config, np.random.default_rng(4))
+    graphs = sentence_to_graphs(tiny_atlas, sentence)
+    with no_grad():
+        from_array = encode_sequence(graphs, config, params).data
+        from_rows = encode_sequence(list(graphs), config, params).data
+    assert from_array.tobytes() == from_rows.tobytes()
+    recorded = encode_sequence(graphs, config, params).data
+    assert recorded.tobytes() == encode_sequence(list(graphs), config, params).data.tobytes()
 
 
 def reference_encode(graphs, config, params):

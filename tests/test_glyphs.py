@@ -46,7 +46,7 @@ def test_load_atlas_normalizes(tmp_path):
     write_pgm(tmp_path / "U+6211.pgm", np.full((50, 50), 255, np.uint8))
     atlas = load_atlas(tmp_path)
     assert len(atlas) == 1
-    assert np.array_equal(atlas.lookup("我"), np.ones((50, 50)))
+    assert np.array_equal(sentence_to_graphs(atlas, "我"), np.ones((1, 50, 50)))
 
 
 def test_load_atlas_ignores_unrelated_files(tmp_path):
@@ -69,44 +69,49 @@ def test_load_atlas_rejects_two_files_of_one_codepoint(tmp_path):
         load_atlas(tmp_path)
 
 
+def test_load_atlas_rejects_codepoint_past_unicode(tmp_path):
+    # the file name regex admits six hex digits; no character has a codepoint past U+10FFFF
+    write_pgm(tmp_path / "U+110000.pgm", np.zeros((50, 50), np.uint8))
+    with pytest.raises(ValueError, match="0x110000"):
+        load_atlas(tmp_path)
+
+
 def test_empty_atlas_fallback_works(tmp_path):
     atlas = load_atlas(tmp_path)
     assert len(atlas) == 0
-    g = atlas.lookup("A")
-    assert g.shape == (GLYPH_SIZE, GLYPH_SIZE)
+    g = sentence_to_graphs(atlas, "A")
+    assert g.shape == (1, GLYPH_SIZE, GLYPH_SIZE)
     assert np.all((g >= 0.0) & (g <= 1.0))
 
 
 def test_fallback_cached_and_distinct():
     atlas = GlyphAtlas(fallback_seed=9)
-    a1 = atlas.lookup("A")
-    a2 = atlas.lookup("A")
-    b = atlas.lookup("B")
+    a1, b = sentence_to_graphs(atlas, "AB")
+    a2 = sentence_to_graphs(atlas, "A")[0]
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
 
 
 def test_fallback_depends_on_seed():
-    g0 = GlyphAtlas(fallback_seed=0).lookup("A")
-    g1 = GlyphAtlas(fallback_seed=1).lookup("A")
+    g0 = sentence_to_graphs(GlyphAtlas(fallback_seed=0), "A")
+    g1 = sentence_to_graphs(GlyphAtlas(fallback_seed=1), "A")
     assert not np.array_equal(g0, g1)
 
 
 def test_stored_glyph_bit_stable(tiny_atlas):
-    first = tiny_atlas.lookup("我")
-    again = tiny_atlas.lookup("我")
-    assert first is again or np.array_equal(first, again)
+    first = sentence_to_graphs(tiny_atlas, "我")
+    again = sentence_to_graphs(tiny_atlas, "我")
+    assert first.tobytes() == again.tobytes()
 
 
 def test_atlas_holds_read_only_copies():
     cps, images = np.array([0x41, 0x42]), np.zeros((2, 50, 50), np.uint8)
     atlas = GlyphAtlas(cps, images)
     cps[0], images[:] = 0x43, 9     # the caller's arrays change; the atlas does not
-    assert list(atlas.entries) == [0x41, 0x42]
-    assert not atlas.lookup("A").any()
-    assert atlas.entries[0x42].base is atlas.images
+    assert atlas.entries == {0x41: 0, 0x42: 1}
+    assert not sentence_to_graphs(atlas, "A").any()
     with pytest.raises(ValueError, match="read-only"):
-        atlas.entries[0x41][0, 0] = 1
+        atlas.images[0, 0, 0] = 1
 
 
 GOOD_CPS = [0x41, 0x42]
@@ -122,8 +127,10 @@ GOOD_IMAGES = np.zeros((2, 50, 50), np.uint8)
     ([[0x41, 0x42]], GOOD_IMAGES[None]),
     ([65.0, 66.0], GOOD_IMAGES),
     (None, GOOD_IMAGES),
+    ([-5, 0x42], GOOD_IMAGES),
+    ([0x41, 0x110000], GOOD_IMAGES),
 ], ids=["10x10_images", "float_images", "one_image_short", "no_images", "repeated_codepoint",
-        "2d_codepoints", "float_codepoints", "no_codepoints"])
+        "2d_codepoints", "float_codepoints", "no_codepoints", "negative_codepoint", "codepoint_past_unicode"])
 def test_atlas_rejects_bad_records(cps, images):
     GlyphAtlas(GOOD_CPS, GOOD_IMAGES)     # the good records build
     with pytest.raises(ValueError, match="atlas"):
@@ -131,11 +138,22 @@ def test_atlas_rejects_bad_records(cps, images):
 
 
 def test_sentence_to_graphs(tiny_atlas):
-    graphs = sentence_to_graphs(tiny_atlas, "我A我")
-    assert len(graphs) == 3
-    assert np.array_equal(graphs[0], graphs[2])
-    assert all(g.shape == (50, 50) for g in graphs)
-    assert all(np.all((g >= 0) & (g <= 1)) for g in graphs)
+    # stored, repeated and unseen characters: one float64 array, row by row the bits
+    # of a stored glyph / 255 or of that character's seeded fallback draw
+    sentence = "我A我爱BA"
+    for atlas, stored in ((tiny_atlas, 3), (GlyphAtlas(fallback_seed=tiny_atlas.fallback_seed), 0)):
+        graphs = sentence_to_graphs(atlas, sentence)
+        assert graphs.dtype == np.float64 and graphs.flags.c_contiguous
+        assert graphs.shape == (len(sentence), GLYPH_SIZE, GLYPH_SIZE)
+        for ch, g in zip(sentence, graphs):
+            row = atlas.entries.get(ord(ch))
+            if row is None:
+                want = np.random.default_rng((atlas.fallback_seed, ord(ch))).random((GLYPH_SIZE, GLYPH_SIZE))
+            else:
+                want = atlas.images[row].astype(np.float64) / 255.0
+            assert g.tobytes() == want.tobytes()
+        assert sum(ord(ch) in atlas.entries for ch in sentence) == stored
+        assert np.all((graphs >= 0) & (graphs <= 1))
 
 
 def test_sentence_to_graphs_rejects_empty(tiny_atlas):

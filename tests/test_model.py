@@ -136,7 +136,7 @@ def test_save_embeds_atlas(tmp_path):
     loaded = FgnModel.load(path)
     assert loaded.atlas.fallback_seed == 9
     assert set(loaded.atlas.entries) == {0x5317}
-    np.testing.assert_array_equal(loaded.atlas.entries[0x5317], img)
+    np.testing.assert_array_equal(loaded.atlas.images[loaded.atlas.entries[0x5317]], img)
 
 
 def test_saved_glyphs_are_bytes_the_loaded_model_reads_over_255(tmp_path):
@@ -149,9 +149,9 @@ def test_saved_glyphs_are_bytes_the_loaded_model_reads_over_255(tmp_path):
     assert records["atlas/images"].dtype == np.uint8 and records["atlas/images"].shape == (6, 50, 50)
     loaded = FgnModel.load(path)
     assert list(loaded.atlas.entries) == list(atlas.entries)
-    for cp, img in atlas.entries.items():
-        # bit for bit the float64 glyph of a byte image: each byte over 255
-        assert loaded.atlas.lookup(chr(cp)).tobytes() == (img.astype(np.float64) / 255.0).tobytes()
+    # bit for bit the float64 glyphs of the byte images: each byte over 255
+    graphs = sentence_to_graphs(loaded.atlas, "".join(map(chr, atlas.entries)))
+    assert graphs.tobytes() == (atlas.images.astype(np.float64) / 255.0).tobytes()
 
 
 def test_constrained_decode_respects_scheme(tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import fgn
 from fgn.config import default_config, load_config
 from fgn.corpus import decode_entities
-from fgn.glyphs import load_atlas
+from fgn.glyphs import load_atlas, sentence_to_graphs
 from fgn.synth import (split_corpus, synthetic_atlas, synthetic_corpus,
                        write_atlas_dir)
 
@@ -21,15 +21,14 @@ def test_atlas_size_and_pools():
     assert len(pools["PER"]) == len(pools["LOC"]) == len(pools["O"]) == 10
     all_chars = pools["PER"] + pools["LOC"] + pools["O"]
     assert len(set(all_chars)) == 30
-    for img in atlas.entries.values():
-        assert img.shape == (50, 50) and img.dtype == np.uint8
-        assert img.max() <= 230      # texture below 81, stripes 25 and 230
+    assert atlas.images.shape == (30, 50, 50) and atlas.images.dtype == np.uint8
+    assert atlas.images.max() <= 230      # texture below 81, stripes 25 and 230
 
 
 def test_pool_glyphs_share_quadrant_pattern():
     atlas, pools = synthetic_atlas()
-    per_imgs = [atlas.lookup(c) for c in pools["PER"]]
-    loc_imgs = [atlas.lookup(c) for c in pools["LOC"]]
+    per_imgs = sentence_to_graphs(atlas, pools["PER"])
+    loc_imgs = sentence_to_graphs(atlas, pools["LOC"])
     # the type-marker quadrant is identical within a pool...
     for img in per_imgs[1:]:
         np.testing.assert_array_equal(img[:25, :25], per_imgs[0][:25, :25])
@@ -43,9 +42,9 @@ def test_atlas_is_seeded():
     a, _ = synthetic_atlas(seed=7)
     b, _ = synthetic_atlas(seed=7)
     c, _ = synthetic_atlas(seed=8)
-    for cp in a.entries:
-        np.testing.assert_array_equal(a.entries[cp], b.entries[cp])
-    assert any(not np.array_equal(a.entries[cp], c.entries[cp]) for cp in a.entries)
+    assert a.entries == b.entries == c.entries
+    np.testing.assert_array_equal(a.images, b.images)
+    assert not np.array_equal(a.images, c.images)
 
 
 def test_corpus_shape_and_labels():
@@ -104,9 +103,9 @@ def test_atlas_dir_roundtrip(tmp_path):
     write_atlas_dir(atlas, tmp_path / "glyphs")
     back = load_atlas(tmp_path / "glyphs")
     assert set(back.entries) == set(atlas.entries)
-    for cp in atlas.entries:
+    for cp, row in atlas.entries.items():
         # glyphs are 8-bit quantized, so the PGM round trip is exact
-        np.testing.assert_array_equal(back.entries[cp], atlas.entries[cp])
+        np.testing.assert_array_equal(back.images[back.entries[cp]], atlas.images[row])
 
 
 def test_make_synthetic_data_script(tmp_path):

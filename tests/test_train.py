@@ -180,6 +180,13 @@ def test_ablate_rejects_unknown_axis_and_variant():
         ablate(tiny_config(), {"cnn": ["resnet"]}, TRAIN_SET, DEV_SET, GlyphAtlas())
 
 
+@pytest.mark.parametrize("values", [[], "cgs"], ids=["empty", "string"])
+def test_ablate_refuses_empty_or_non_list_axis(values):
+    # an empty axis would train no cell and report success; a string would be read letter by letter
+    with pytest.raises(ValueError, match="ablation axis 'cnn' needs a non-empty list"):
+        ablate(tiny_config(), {"cnn": values}, TRAIN_SET, DEV_SET, GlyphAtlas())
+
+
 def test_ablate_captures_cell_failure(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("window fell apart")
