@@ -13,21 +13,29 @@ rows (ops.conv), so its im2col has 9 C_in columns, not 27 C_in. The glyphs
 enter as one constant (tau, 50, 50) array, so no gradient is computed for them.
 
 While a graph is recorded (training, gradient checks) the whole sentence is
-one chunk. Under no_grad (decoding) it is encoded CHUNK rows at a time: the
-3-d convs mix rows [a - 2, b + 2) and only rows [a, b) go on through the
-pyramid. This is exact, not an approximation. A kept row reads mixed rows
-within 1 of it, and those read input rows within 1 more, all inside the halo;
-the rows at the halo's edge, which see zero padding in place of their true
-neighbours, are dropped; and at the ends of the sentence the halo is clipped
-to the same zero padding the whole-sentence conv uses. The pyramid works per
-glyph, so it needs no halo, and cgs_2d, which mixes nothing, pays nothing for
-it. Dropout, given a generator, runs once on the assembled matrix.
+encoded at once, and so is a sentence of at most CHUNK glyphs. Under no_grad
+(decoding) a longer sentence is cut into one contiguous region per thread,
+run through tensor.threaded_map on one thread per CPU this process may use, at
+most CHUNK // (4 * HALO) = 2. Each thread streams its region through the two
+3-d convs (_SeqConv) one piece of rows at a time, so each row is mixed once: a
+conv computes the stacked-tap output z of each input row once, and output row
+t is z[t, centre] + z[t - 1, tap 0] + z[t + 1, tap 2], added in _corr_folded's
+order. Between pieces it carries two planes: the last row's tap-0 plane, and
+that row's output, which still waits for the next row's tap 2. Only the two
+ends of a region read HALO = 2 extra input rows, whose mixed rows, having seen
+zero padding in place of their true neighbours, are dropped; at the ends of
+the sentence the zero padding is the whole-sentence conv's own. So the result
+is the recorded encode's bit for bit, not an approximation.
 
-The chunks of one sentence are independent, so a sentence longer than CHUNK
-runs them through tensor.threaded_map on one thread per CPU this process may
-use, at most CHUNK // (4 * HALO) = 2, each on CHUNK // workers rows: no chunk
-is narrower than 8 rows, and the rows in flight stay close to one CHUNK with
-its halo. Each chunk writes its own rows of the output.
+The input pieces and the pyramid's pieces are near-equal runs of at most
+CHUNK // workers = 8 rows, so no GEMM reads fewer than 4 glyphs unless the
+region is shorter: OpenBLAS runs a GEMM of a few rows through another kernel,
+whose bits can differ from the whole sentence's. The convs' lag shortens a
+region's first mixed rows, so they wait in a small buffer, and the pyramid
+runs on its own cuts of the region. In flight per thread: one piece and two
+planes per conv. cgs_2d, which mixes nothing, feeds its regions' glyphs to the
+pyramid in the same cuts. Each region writes its own rows of the output.
+Dropout, given a generator, runs once on the assembled matrix.
 """
 
 from __future__ import annotations
@@ -37,14 +45,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .glyphs import GLYPH_SIZE
-from .ops import conv, dropout, pool
-from .tensor import Parameter, Tensor, _value, is_recording, tanh, threaded_map, uniform_fan_init, usable_cpus
+from .ops import _corr_same, _stack_taps, conv, dropout, pool
+from .tensor import Parameter, Tensor, is_recording, tanh, threaded_map, uniform_fan_init, usable_cpus
 
 CNN_VARIANTS = ("cgs", "cgs_2d", "cgs_avg")
-# Outside a recorded graph the sentence is encoded CHUNK rows at a time, which
-# bounds the im2col buffers. Row t of the second sequence conv reads rows t-1..t+1
-# of the first, and each of those reads input rows one further out, so a chunk
-# [a, b) is exact from input rows [a - HALO, b + HALO) with HALO = 2 convs x radius 1.
+# Outside a recorded graph a sentence of more than CHUNK glyphs is encoded in
+# pieces, which bounds the im2col buffers. Row t of the second sequence conv reads
+# rows t-1..t+1 of the first, and each of those reads input rows one further out, so
+# a region [a, b) is exact from input rows [a - HALO, b + HALO) with HALO = 2 convs x radius 1.
 CHUNK = 16
 HALO = 2
 
@@ -126,8 +134,42 @@ def _glyph_vectors(x, config: CgsCnnConfig, params: dict) -> Tensor:
     return pool(x, config.pool1d_window, config.pool1d_stride, 1, mode).reshape((n, config.glyph_dim))
 
 
+class _SeqConv:
+    """One 3-d sequence conv and its tanh, fed the rows of a sentence a piece at a time.
+
+    Row t of the output is z[t, centre] + z[t - 1, tap 0] + z[t + 1, tap 2],
+    with z the stacked-tap output of _corr_folded, added in its order: tap 0,
+    then tap 2. The first row fed sees zero padding in place of a tap 0.
+    """
+
+    def __init__(self, kernels: Parameter):
+        self.kernel = _stack_taps(kernels.data)
+        self.tap0 = self.waiting = None     # the last row's tap-0 plane, and its output without tap 2
+
+    def feed(self, x: np.ndarray, ends: bool) -> np.ndarray:
+        """The output rows x finishes: the one that waited, then x's own, but its last unless x ends the sentence."""
+        z = _corr_same(x, self.kernel)[0]
+        z = z.reshape(z.shape[:-1] + (3, -1))
+        held = self.waiting is not None
+        y = np.concatenate(([self.waiting] if held else []) + [z[..., 1, :]])
+        if held:
+            y[1] += self.tap0
+        y[held + 1:] += z[:-1, ..., 0, :]
+        y[:-1] += z[1 - held:, ..., 2, :]
+        if not ends:
+            self.tap0, self.waiting = z[-1, ..., 0, :].copy(), y[-1:].copy()
+            y = y[:-1]
+        return np.tanh(y, out=y)
+
+
+def _cuts(a: int, b: int, most: int) -> list:
+    """[a, b) as the fewest near-equal (start, stop) runs of at most `most` rows."""
+    n = -(-(b - a) // most)
+    return [(a + (b - a) * i // n, a + (b - a) * (i + 1) // n) for i in range(n)]
+
+
 def long_sentence(tau: int) -> bool:
-    """Whether a no-grad encode of tau glyphs runs in chunks on threads, so its decode keeps BLAS in the calling thread."""
+    """Whether a no-grad encode of tau glyphs runs on threads, so its decode keeps BLAS in the calling thread."""
     return tau > CHUNK
 
 
@@ -144,14 +186,24 @@ def encode_sequence(graphs, config: CgsCnnConfig, params: dict,
     else:
         out = np.empty((tau, config.glyph_dim))
         workers = min(usable_cpus(), CHUNK // (4 * HALO))
-        rows = CHUNK // workers
+        piece = CHUNK // workers
+        halo = 0 if config.variant == "cgs_2d" else HALO
 
-        def encode_rows(a):
-            b = min(a + rows, tau)
-            lo = max(a - HALO, 0)
-            mixed = _value(_mix(stacked[lo:b + HALO], config, params))
-            out[a:b] = _glyph_vectors(mixed[a - lo:b - lo], config, params).data
+        def encode_region(span):
+            a, b = span
+            lo, hi = max(a - halo, 0), min(b + halo, tau)
+            convs = [_SeqConv(params[name]) for name in ("cnn/seq_conv1", "cnn/seq_conv2") if halo]
+            cuts, mixed, at = _cuts(a, b, piece), None, lo      # mixed holds the mixed rows from row `at` on
+            for s, e in _cuts(lo, hi, piece):
+                x = stacked[s:e]
+                for c in convs:
+                    x = c.feed(x, e == tau)
+                mixed = x if mixed is None else np.concatenate((mixed, x))
+                while cuts and cuts[0][1] <= at + len(mixed):
+                    c0, c1 = cuts.pop(0)
+                    out[c0:c1] = _glyph_vectors(mixed[c0 - at:c1 - at], config, params).data
+                    mixed, at = mixed[c1 - at:], c1
 
-        threaded_map(encode_rows, range(0, tau, rows), workers)
+        threaded_map(encode_region, _cuts(0, tau, -(-tau // workers)), workers)
         x = Tensor(out)
     return dropout(x, config.dropout_rate, rng)

@@ -9,7 +9,7 @@ initial values, and then fills every parameter from the file, so a save/load
 round trip is bit-exact. A sentence runs through the network as one (tau, d)
 matrix per stage. Decoding is forward only: it runs under no_grad, so it keeps
 no graph, and its memory does not grow with the sentence. A sentence the
-encoder splits into chunk threads (cgs_cnn.long_sentence) decodes with BLAS
+encoder splits into region threads (cgs_cnn.long_sentence) decodes with BLAS
 held to the calling thread, which leaves the cores to those threads.
 """
 
@@ -104,7 +104,7 @@ class FgnModel:
         return nll_loss(batch, self.crf, self.mask_scheme)
 
     def decode(self, sentence: str, sentence_index: int = 0, provider=None) -> list:
-        # forward only, in bounded chunks; a long sentence pins all its BLAS calls (tensor.py tells why)
+        # forward only, in bounded pieces; a long sentence pins all its BLAS calls (tensor.py tells why)
         with one_blas_thread() if long_sentence(len(sentence)) else nullcontext():
             with no_grad():
                 hs = self.hidden_states(sentence, sentence_index, provider=provider)

@@ -70,6 +70,12 @@ def _tap_spans(extents: tuple, k: int):
         yield i, tuple(out), tuple(slice(o.start + j - p, o.stop + j - p) for o, j in zip(out, tap))
 
 
+def _stack_taps(w: np.ndarray) -> np.ndarray:
+    """w (C_out, C_in, k, ..., k) as (k^(r-2) C_out, C_in, k, k): its outer taps, in scan order, as output channels."""
+    f, k = w.ndim - 4, w.shape[-1]
+    return np.moveaxis(w, (0, 1), (f, f + 1)).reshape((k ** f * w.shape[0],) + w.shape[1:2] + w.shape[-2:])
+
+
 def _corr_folded(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_corr_same with one im2col over the last two spatial axes, however many there are.
 
@@ -82,11 +88,9 @@ def _corr_folded(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r, k, c_out = w.ndim - 2, w.shape[-1], w.shape[0]
     if r <= 2:
         return _corr_same(x, w)
-    f = r - 2
-    stacked = np.moveaxis(w, (0, 1), (f, f + 1)).reshape((k ** f * c_out,) + w.shape[1:2] + w.shape[-2:])
-    z, cols = _corr_same(x, stacked)
-    z = z.reshape(x.shape[:-1] + (k ** f, c_out))
-    centre = k ** f // 2                            # the tap that reads every row
+    z, cols = _corr_same(x, _stack_taps(w))
+    z = z.reshape(x.shape[:-1] + (k ** (r - 2), c_out))
+    centre = k ** (r - 2) // 2                      # the tap that reads every row
     y = z[..., centre, :].copy()
     for i, out, src in _tap_spans(x.shape[-r - 1:-3], k):
         if i != centre:

@@ -25,23 +25,23 @@ there; backward() refuses to run inside the scope or from a node that has no
 graph.
 
 threaded_map() is the one place that runs threads of our own: the glyph
-encoder's halo chunks and Adam's row runs. They need the cores to themselves,
-so it sets the thread count of numpy's bundled OpenBLAS to 1 for the map and
-restores it on exit. Setting the count is not enough on its own: after a
-multi-threaded call, OpenBLAS's idle workers spin for about 2^28 cycles
-(~0.13 s) before they sleep, whatever the count is set to later. So when the
-count it finds is above 1, as after the backward's last GEMM, it first calls
-OpenBLAS's exported blas_thread_shutdown_, which makes the workers exit at
-once; the next multi-threaded BLAS call starts them again (~0.1 ms). The
-first restart allocates one more OpenBLAS buffer, about 34 MB of RSS once;
+encoder's regions of a long sentence and Adam's row runs. They need the cores
+to themselves, so it sets the thread count of numpy's bundled OpenBLAS to 1
+for the map and restores it on exit. Setting the count is not enough on its
+own: after a multi-threaded call, OpenBLAS's idle workers spin for about 2^28
+cycles (~0.13 s) before they sleep, whatever the count is set to later. So
+when the count it finds is above 1, as after the backward's last GEMM, it
+first calls OpenBLAS's exported blas_thread_shutdown_, which makes the workers
+exit at once; the next multi-threaded BLAS call starts them again (~0.1 ms).
+The first restart allocates one more OpenBLAS buffer, about 34 MB of RSS once;
 later restarts reuse it. The shutdown joins the workers and frees their
 state, so it must not run while another thread is inside BLAS. Where that
 symbol is missing, the items run in turn.
 
 one_blas_thread() pins every BLAS call of a scope. A long decode runs in one
 from its start, since its fusion and LSTM GEMMs would otherwise wake workers
-to spin on the cores its next chunks need; so the encoder's map finds a count
-of 1, stops no worker, and the decode pays for no restart.
+to spin on the cores its encoder's threads need; so the encoder's map finds a
+count of 1, stops no worker, and the decode pays for no restart.
 
 usable_cpus() is the one count of the CPUs this process may run on.
 """
@@ -74,7 +74,7 @@ def _keep_freed_buffers() -> None:
     page-faults it in again: 5000-9000 faults, up to a quarter of a default step.
     Fixed thresholds keep buffers of up to 32 MB (the most glibc allows) on the
     heap and up to 128 MB of free heap for reuse. One arena serves every thread:
-    with an arena per thread, each chunk thread of the glyph encoder keeps its
+    with an arena per thread, each region thread of the glyph encoder keeps its
     own freed buffers, and a long decode peaked a third higher or more. No-op off glibc.
     """
     try:

@@ -9,7 +9,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from fgn import cgs_cnn, ops
-from fgn.cgs_cnn import CHUNK, CNN_VARIANTS, CgsCnnConfig, encode_sequence, init_cgs_params
+from fgn.cgs_cnn import CHUNK, CNN_VARIANTS, HALO, CgsCnnConfig, encode_sequence, init_cgs_params
 from fgn.glyphs import sentence_to_graphs
 from fgn.tensor import _openblas_threads, no_grad
 
@@ -178,8 +178,8 @@ def test_backward_skips_raw_pixel_gradient(rng, monkeypatch, variant, data_grads
 @pytest.mark.parametrize("tau", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 2])
 @pytest.mark.parametrize("variant", CNN_VARIANTS)
 def test_no_grad_chunks_match_the_recorded_encode_bit_for_bit(rng, variant, tau):
-    # outside a graph the encoder runs in CHUNK-row chunks with a HALO-row halo;
-    # the halo makes every kept row exact, not merely close
+    # outside a graph a long sentence streams through the encoder a region per thread;
+    # the HALO rows at a region's ends make every kept row exact, not merely close
     config = CgsCnnConfig(variant=variant)
     params = init_cgs_params(config, np.random.default_rng(5))
     graphs = random_graphs(rng, tau)
@@ -193,7 +193,7 @@ def test_no_grad_chunks_match_the_recorded_encode_bit_for_bit(rng, variant, tau)
 @pytest.mark.parametrize("workers", [2, 4])
 @pytest.mark.parametrize("tau", [CHUNK + 1, 40, 96])
 def test_pooled_chunks_match_the_serial_encode_bit_for_bit(rng, monkeypatch, tau, workers):
-    # the chunk threads write disjoint rows of one output; 4 CPUs still take CHUNK // (4 * HALO)
+    # the region threads write disjoint rows of one output; 4 CPUs still take CHUNK // (4 * HALO)
     # = 2 threads; a short switch interval interleaves them more than the cores would
     config = CgsCnnConfig()
     params = init_cgs_params(config, np.random.default_rng(5))
@@ -215,5 +215,46 @@ def test_pooled_chunks_match_the_serial_encode_bit_for_bit(rng, monkeypatch, tau
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(pooled.view(np.int64), serial.view(np.int64))
-    if _openblas_threads() is not None:     # without BLAS thread control the chunks run in turn
+    if _openblas_threads() is not None:     # without BLAS thread control the regions run in turn
         assert threads and threading.get_ident() not in threads
+
+
+# the tiny cnn config of tests/test_model.py (small_cnn) and scripts/fingerprint.py
+TINY_CNN = dict(conv3d_channels=2, tianzige_channels=16, pyramid_channels=(4, 4, 8, 16),
+                pool1d_window=1, pool1d_stride=1)
+
+
+@pytest.mark.parametrize("size,tau", [("tiny", tau) for tau in [*range(CHUNK + 1, 41), 49, 50, 97, 98]]
+                         + [("default", tau) for tau in (17, 18, 25, 50)])
+@pytest.mark.parametrize("variant", CNN_VARIANTS)
+def test_no_grad_encode_is_exact_at_every_length(rng, variant, size, tau):
+    # a GEMM of one or two glyphs can run through another OpenBLAS kernel than the
+    # whole sentence's; at the tiny config its bits differ, so no piece may be that narrow
+    config = CgsCnnConfig(variant=variant, **(TINY_CNN if size == "tiny" else {}))
+    params = init_cgs_params(config, np.random.default_rng(5))
+    graphs = rng.random((tau, 50, 50))
+    recorded = encode_sequence(graphs, config, params).data
+    with no_grad():
+        streamed = encode_sequence(graphs, config, params).data
+    assert np.array_equal(streamed.view(np.int64), recorded.view(np.int64))
+
+
+def test_long_no_grad_encode_mixes_each_row_once(rng, monkeypatch):
+    # each of 2 regions reads HALO rows past its inner end and no more, where 8-row
+    # chunks with a halo on each side made each 3-d conv read 92 rows for 64
+    config = CgsCnnConfig()
+    params = init_cgs_params(config, np.random.default_rng(5))
+    tau, conv_rows, pyramid_rows = 64, [], []
+    corr, vectors = cgs_cnn._corr_same, cgs_cnn._glyph_vectors
+    monkeypatch.setattr(cgs_cnn, "_corr_same", lambda x, w: conv_rows.append((x.shape[-1], len(x))) or corr(x, w))
+    monkeypatch.setattr(cgs_cnn, "_glyph_vectors", lambda x, *args: pyramid_rows.append(len(x)) or vectors(x, *args))
+    monkeypatch.setattr(cgs_cnn, "usable_cpus", lambda: 2)
+    graphs = rng.random((tau, 50, 50))
+    with no_grad():
+        streamed = encode_sequence(graphs, config, params).data
+    for c_in in (1, config.conv3d_channels):
+        rows = [n for c, n in conv_rows if c == c_in]
+        assert tau <= sum(rows) <= tau + 2 * HALO, (c_in, rows)
+    assert sum(pyramid_rows) == tau and min(pyramid_rows) >= 4, pyramid_rows
+    recorded = encode_sequence(graphs, config, params).data
+    assert np.array_equal(streamed.view(np.int64), recorded.view(np.int64))
