@@ -6,26 +6,21 @@ axis (radius 2 total), then a per-glyph 2D pyramid compresses 50x50 down to a
 pooling yield a (tau, 64) matrix, one glyph vector per character. tanh follows
 every convolution to keep values bounded for the downstream outer product.
 Activations stay channels-last, (tau, H, W, C), from the glyph stack to the
-2x2 grid: the 3-d convolutions read tau as a spatial axis, the 2-d convs and
-pools as a batch axis. Each 3-d conv runs as one 2-d im2col over (H, W) with
-its three taps along tau stacked as output channels, then sums the shifted
-rows (ops.conv), so its im2col has 9 C_in columns, not 27 C_in. The glyphs
-enter as one constant (tau, 50, 50) array, so no gradient is computed for them.
+2x2 grid: the 3-d convolutions (ops.seq_conv) read tau as the sentence axis,
+the 2-d convs and pools as a batch axis. The glyphs enter as one constant
+(tau, 50, 50) array, so no gradient is computed for them.
 
 While a graph is recorded (training, gradient checks) the whole sentence is
 encoded at once, and so is a sentence of at most CHUNK glyphs. Under no_grad
 (decoding) a longer sentence is cut into one contiguous region per thread,
 run through tensor.threaded_map on one thread per CPU this process may use, at
 most CHUNK // (4 * HALO) = 2. Each thread streams its region through the two
-3-d convs (_SeqConv) one piece of rows at a time, so each row is mixed once: a
-conv computes the stacked-tap output z of each input row once, and output row
-t is z[t, centre] + z[t - 1, tap 0] + z[t + 1, tap 2], added in _corr_folded's
-order. Between pieces it carries two planes: the last row's tap-0 plane, and
-that row's output, which still waits for the next row's tap 2. Only the two
-ends of a region read HALO = 2 extra input rows, whose mixed rows, having seen
-zero padding in place of their true neighbours, are dropped; at the ends of
-the sentence the zero padding is the whole-sentence conv's own. So the result
-is the recorded encode's bit for bit, not an approximation.
+3-d convs one piece of rows at a time, each conv an ops.SeqCorr and an
+in-place tanh, so each row is mixed once. Only the two ends of a region read
+HALO = 2 extra input rows, whose mixed rows, having seen zero padding in place
+of their true neighbours, are dropped; at the ends of the sentence the zero
+padding is the whole-sentence conv's own. So the result is the recorded
+encode's bit for bit, not an approximation.
 
 The input pieces and the pyramid's pieces are near-equal runs of at most
 CHUNK // workers = 8 rows, so no GEMM reads fewer than 4 glyphs unless the
@@ -45,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .glyphs import GLYPH_SIZE
-from .ops import _corr_same, _stack_taps, conv, dropout, pool
+from .ops import SeqCorr, conv, dropout, pool, seq_conv
 from .tensor import Parameter, Tensor, is_recording, tanh, threaded_map, uniform_fan_init, usable_cpus
 
 CNN_VARIANTS = ("cgs", "cgs_2d", "cgs_avg")
@@ -77,6 +72,8 @@ class CgsCnnConfig:
         if len(self.pyramid_channels) != 4:
             raise ValueError("the 2D pyramid has 4 conv+pool groups, got %d channel entries"
                              % len(self.pyramid_channels))
+        if min(self.pyramid_channels) < 1:
+            raise ValueError("cnn pyramid_channels must all be positive, got %r" % (self.pyramid_channels,))
         if self.pyramid_channels[-1] != self.tianzige_channels:
             raise ValueError("last pyramid stage must emit tianzige_channels=%d, got %d"
                              % (self.tianzige_channels, self.pyramid_channels[-1]))
@@ -118,8 +115,8 @@ def _mix(x, config: CgsCnnConfig, params: dict):
     """The two 3-d convs that mix each glyph with its neighbours; cgs_2d mixes nothing."""
     if config.variant == "cgs_2d":
         return x
-    x = tanh(conv(x, params["cnn/seq_conv1"]))
-    return tanh(conv(x, params["cnn/seq_conv2"]))       # (n, 50, 50, 8)
+    x = tanh(seq_conv(x, params["cnn/seq_conv1"]))
+    return tanh(seq_conv(x, params["cnn/seq_conv2"]))       # (n, 50, 50, 8)
 
 
 def _glyph_vectors(x, config: CgsCnnConfig, params: dict) -> Tensor:
@@ -132,34 +129,6 @@ def _glyph_vectors(x, config: CgsCnnConfig, params: dict) -> Tensor:
     x = x.transpose((0, 3, 1, 2)).reshape((n, 2 * 2 * config.tianzige_channels, 1))
     mode = "avg" if config.variant == "cgs_avg" else "max"
     return pool(x, config.pool1d_window, config.pool1d_stride, 1, mode).reshape((n, config.glyph_dim))
-
-
-class _SeqConv:
-    """One 3-d sequence conv and its tanh, fed the rows of a sentence a piece at a time.
-
-    Row t of the output is z[t, centre] + z[t - 1, tap 0] + z[t + 1, tap 2],
-    with z the stacked-tap output of _corr_folded, added in its order: tap 0,
-    then tap 2. The first row fed sees zero padding in place of a tap 0.
-    """
-
-    def __init__(self, kernels: Parameter):
-        self.kernel = _stack_taps(kernels.data)
-        self.tap0 = self.waiting = None     # the last row's tap-0 plane, and its output without tap 2
-
-    def feed(self, x: np.ndarray, ends: bool) -> np.ndarray:
-        """The output rows x finishes: the one that waited, then x's own, but its last unless x ends the sentence."""
-        z = _corr_same(x, self.kernel)[0]
-        z = z.reshape(z.shape[:-1] + (3, -1))
-        held = self.waiting is not None
-        y = np.concatenate(([self.waiting] if held else []) + [z[..., 1, :]])
-        if held:
-            y[1] += self.tap0
-        y[held + 1:] += z[:-1, ..., 0, :]
-        y[:-1] += z[1 - held:, ..., 2, :]
-        if not ends:
-            self.tap0, self.waiting = z[-1, ..., 0, :].copy(), y[-1:].copy()
-            y = y[:-1]
-        return np.tanh(y, out=y)
 
 
 def _cuts(a: int, b: int, most: int) -> list:
@@ -192,12 +161,13 @@ def encode_sequence(graphs, config: CgsCnnConfig, params: dict,
         def encode_region(span):
             a, b = span
             lo, hi = max(a - halo, 0), min(b + halo, tau)
-            convs = [_SeqConv(params[name]) for name in ("cnn/seq_conv1", "cnn/seq_conv2") if halo]
+            convs = [SeqCorr(params[name].data) for name in ("cnn/seq_conv1", "cnn/seq_conv2") if halo]
             cuts, mixed, at = _cuts(a, b, piece), None, lo      # mixed holds the mixed rows from row `at` on
             for s, e in _cuts(lo, hi, piece):
                 x = stacked[s:e]
                 for c in convs:
-                    x = c.feed(x, e == tau)
+                    x = c.feed(x, e == tau)[0]
+                    np.tanh(x, out=x)
                 mixed = x if mixed is None else np.concatenate((mixed, x))
                 while cuts and cuts[0][1] <= at + len(mixed):
                     c0, c1 = cuts.pop(0)

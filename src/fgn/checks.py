@@ -19,7 +19,7 @@ from .fusion import WindowSpec, fuse_character, init_fusion_params
 from .glyphs import GlyphAtlas
 from .gradcheck import GradCheckReport, grad_check
 from .model import FgnModel
-from .ops import conv, dropout, lstm_sequence, lstm_step, pool
+from .ops import conv, dropout, lstm_sequence, lstm_step, pool, seq_conv
 from .ops import init_lstm_params
 from .tagger import (LabelScheme, TaggerParams, bilstm_encode, init_crf_params,
                      nll_loss)
@@ -82,15 +82,15 @@ def _build_dropout():
     return (lambda: _dot(dropout(x, 0.3, np.random.default_rng(77)), r)), [x]
 
 
-def _build_conv(seed: int, rank: int):
-    """Gradients of conv over `rank` spatial axes, with one leading batch axis."""
+def _build_conv(seed: int, op):
+    """Gradients of conv over a batch of two 6x6 planes, or of seq_conv over one 3-glyph sentence of them."""
     def build():
         rng = np.random.default_rng(seed)
-        shape = (2,) + (3, 6, 6)[-rank:]
+        shape = (2, 6, 6) if op is conv else (3, 6, 6)
         x = _p(rng, shape + (2,), "x")
-        k = _p(rng, (3, 2) + (3,) * rank, "k")
+        k = _p(rng, (3, 2) + (3,) * (2 if op is conv else 3), "k")
         r = rng.standard_normal(shape + (3,))
-        return (lambda: _dot(conv(x, k), r)), [x, k]
+        return (lambda: _dot(op(x, k), r)), [x, k]
     return build
 
 
@@ -218,8 +218,8 @@ CHECKS = (
     CheckSpec("softmax", (), _build_softmax),
     CheckSpec("getitem_gather", (), _build_getitem_gather),
     CheckSpec("dropout_fixed_mask", (), _build_dropout),
-    CheckSpec("conv_2d_batched", ("cnn",), _build_conv(106, 2)),
-    CheckSpec("conv_3d_batched", ("cnn",), _build_conv(107, 3)),
+    CheckSpec("conv_2d_batched", ("cnn",), _build_conv(106, conv)),
+    CheckSpec("seq_conv", ("cnn",), _build_conv(107, seq_conv)),
     CheckSpec("pool_1d_max_avg", ("cnn",), _build_pool(109, 1)),
     CheckSpec("pool_2d_max", ("cnn",), _build_pool(108, 2)),
     CheckSpec("encode_sequence", ("cnn",), _build_encode_sequence, max_coords=4),

@@ -80,6 +80,8 @@ class RunConfig:
     embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0, got %d" % self.seed)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0, got %d" % self.epochs)
         if self.batch_size < 1:

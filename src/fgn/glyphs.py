@@ -44,6 +44,8 @@ def read_pgm(path) -> np.ndarray:
         width, height, maxval = (int(f) for f in fields[1:])
     except ValueError:
         raise ValueError("%s: non-numeric PGM header fields" % path.name) from None
+    if width < 1 or height < 1:
+        raise ValueError("%s: PGM size %d x %d is not positive" % (path.name, width, height))
     if maxval != 255:
         raise ValueError("%s: unsupported PGM maxval %d (need 255)" % (path.name, maxval))
     pos += 1  # single whitespace byte after maxval

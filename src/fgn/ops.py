@@ -1,20 +1,17 @@
 """Network layers built on the autodiff core.
 
-One channels-last convolution and one pool, (..., *S, C) with any leading
-batch axes, serve every rank; both read their windows from one strided view.
-The conv runs as im2col + one matmul so the BLAS does the heavy lifting. Over
-r > 2 spatial axes the im2col covers the last two only: the taps along the
-outer axes are stacked as output channels of one 2-d correlation, and the
-output sums shifted slices of its result, one per stacked tap (MEC, Cho &
-Brand, arXiv:1706.06873), so the 3-d sequence convs copy k times fewer
-columns. The weight gradient is one GEMM against the saved im2col rows (one
-per stacked tap for a folded conv); the data gradient is the same correlation
-with the kernel flipped on every spatial axis and in/out channels swapped,
-exact for stride 1, odd kernels, same padding. Max-pool is a running maximum
-over the strided slices of the window view, one per window offset, with no
-window copied; the pool's backward is one strided slice add per offset. The
-LSTM runs a whole sentence as one graph node with hand-written
-backpropagation through time; the per-step cell stays as its reference.
+One channels-last 2-d convolution, (..., H, W, C) with any leading batch axes,
+and one pool over any number of axes; both read their windows from one strided
+view. The conv runs as im2col + one matmul so the BLAS does the heavy lifting.
+Its weight gradient is one GEMM against the saved im2col rows; its data
+gradient is the same correlation with the kernel flipped and in/out channels
+swapped, exact for stride 1, odd kernels, same padding. The 3x3x3 conv along a
+sentence (seq_conv) has its one tap sum in SeqCorr, which the no-grad encode
+also feeds a piece of rows at a time. Max-pool is a running maximum over the
+strided slices of the window view, one per window offset, with no window
+copied; the pool's backward is one strided slice add per offset. The LSTM runs
+a whole sentence as one graph node with hand-written backpropagation through
+time; the per-step cell stays as its reference.
 """
 
 from __future__ import annotations
@@ -40,112 +37,120 @@ def _windows(x: np.ndarray, r: int, k: int, stride: int = 1) -> np.ndarray:
 
 
 def _corr_same(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same-padding stride-1 correlation of channels-last x (..., *S, C_in) with w (C_out, C_in, k, ..., k).
+    """Same-padding stride-1 correlation of channels-last x (..., H, W, C_in) with w (C_out, C_in, k, k).
 
-    The r = w.ndim - 2 axes before the channels are spatial; any before them are
-    batch axes. Returns (y, cols): y is (..., *S, C_out); cols, kept for the
-    weight gradient, has one row per output cell ordered (k, ..., k, C_in), so
-    the innermost copied run is a whole C_in-sized contiguous chunk.
+    Any axes before (H, W) are batch axes. Returns (y, cols): y is (..., H, W,
+    C_out); cols, kept for the weight gradient, has one row per output cell
+    ordered (k, k, C_in), so the innermost copied run is a whole C_in-sized
+    contiguous chunk.
     """
-    r, k = w.ndim - 2, w.shape[-1]
+    k = w.shape[-1]
     p = k // 2
-    spatial = x.shape[-r - 1:-1]
-    xp = np.zeros(x.shape[:-r - 1] + tuple(s + 2 * p for s in spatial) + x.shape[-1:])
-    xp[(...,) + tuple(slice(p, p + s) for s in spatial) + (slice(None),)] = x
-    cols = _windows(xp, r, k).reshape(-1, k ** r * x.shape[-1])
+    h, wd = x.shape[-3:-1]
+    xp = np.zeros(x.shape[:-3] + (h + 2 * p, wd + 2 * p) + x.shape[-1:])
+    xp[..., p:p + h, p:p + wd, :] = x
+    cols = _windows(xp, 2, k).reshape(-1, k * k * x.shape[-1])
     wmat = np.moveaxis(w, 1, -1).reshape(w.shape[0], -1)
     return (cols @ wmat.T).reshape(x.shape[:-1] + w.shape[:1]), cols
 
 
-def _tap_spans(extents: tuple, k: int):
-    """Each tap of a k-wide kernel over the given axes: (its scan index, output rows, input rows).
-
-    Along an axis of n cells, tap j adds input row t + j - k // 2 to output row t,
-    for every t that keeps both rows in [0, n); the rest is zero padding.
-    """
-    p = k // 2
-    for i, tap in enumerate(np.ndindex((k,) * len(extents))):
-        # stop >= start: the span is empty when the tap reads no row (n < k)
-        out = [slice(max(p - j, 0), max(min(n + p - j, n), p - j, 0)) for n, j in zip(extents, tap)]
-        yield i, tuple(out), tuple(slice(o.start + j - p, o.stop + j - p) for o, j in zip(out, tap))
-
-
-def _stack_taps(w: np.ndarray) -> np.ndarray:
-    """w (C_out, C_in, k, ..., k) as (k^(r-2) C_out, C_in, k, k): its outer taps, in scan order, as output channels."""
-    f, k = w.ndim - 4, w.shape[-1]
-    return np.moveaxis(w, (0, 1), (f, f + 1)).reshape((k ** f * w.shape[0],) + w.shape[1:2] + w.shape[-2:])
-
-
-def _corr_folded(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_corr_same with one im2col over the last two spatial axes, however many there are.
-
-    For r > 2 the taps along the first r - 2 spatial axes are stacked as output
-    channels: one 2-d correlation with a (k^(r-2) C_out, C_in, k, k) kernel, the
-    outer axes as batch axes, gives z, and y sums the shifted slices of z, one
-    per stacked tap (MEC, Cho & Brand, arXiv:1706.06873). The im2col is
-    k^(r-2) times narrower. Returns (y, cols) with cols the 2-d im2col rows.
-    """
-    r, k, c_out = w.ndim - 2, w.shape[-1], w.shape[0]
-    if r <= 2:
-        return _corr_same(x, w)
-    z, cols = _corr_same(x, _stack_taps(w))
-    z = z.reshape(x.shape[:-1] + (k ** (r - 2), c_out))
-    centre = k ** (r - 2) // 2                      # the tap that reads every row
-    y = z[..., centre, :].copy()
-    for i, out, src in _tap_spans(x.shape[-r - 1:-3], k):
-        if i != centre:
-            y[(...,) + out + (slice(None),) * 3] += z[(...,) + src + (slice(None),) * 2 + (i, slice(None))]
-    return y, cols
-
-
 def conv(x: Tensor | np.ndarray, kernels: Parameter) -> Tensor:
-    """Convolution over r = kernels.ndim - 2 spatial axes: stride 1, same padding, odd cubic kernels, no bias.
+    """2-d convolution: stride 1, same padding, odd square kernels, no bias.
 
-    x: (..., *S, C_in), channels last, any leading batch axes; kernels: (C_out,
-    C_in, k, ..., k). Returns (..., *S, C_out). A plain array x is a constant:
-    it gets no data gradient, so backward computes only the kernel's. A kernel
-    of r > 2 axes runs folded (_corr_folded); its weight gradient is one GEMM
-    per stacked tap: the tap's input rows of the 2-d im2col against its output
-    rows of g, taken a cache-sized block of rows at a time.
+    x: (..., H, W, C_in), channels last, any leading batch axes; kernels:
+    (C_out, C_in, k, k). Returns (..., H, W, C_out). A plain array x is a
+    constant: it gets no data gradient, so backward computes only the kernel's.
     """
     w = kernels.data
-    r = w.ndim - 2
     xd = _value(x)
-    if r < 1 or len(set(w.shape[2:])) != 1 or w.shape[-1] % 2 == 0:
-        raise ValueError("conv kernels must be (C_out, C_in, k, ..., k) with odd k, got %r" % (w.shape,))
-    if xd.ndim < r + 1:
-        raise ValueError("conv input must be (..., %d spatial axes, C), got %r" % (r, xd.shape))
+    if w.ndim != 4 or w.shape[2] != w.shape[3] or w.shape[-1] % 2 == 0:
+        raise ValueError("conv kernels must be (C_out, C_in, k, k) with odd k, got %r" % (w.shape,))
+    if xd.ndim < 3:
+        raise ValueError("conv input must be (..., H, W, C) with 2 spatial axes, got %r" % (xd.shape,))
     if xd.shape[-1] != w.shape[1]:
         raise ValueError("conv channel mismatch: input has %d, kernels expect %d" % (xd.shape[-1], w.shape[1]))
-    y, cols = _corr_folded(xd, w)
+    y, cols = _corr_same(xd, w)
 
     def back(g):
-        c_out, k, f = w.shape[0], w.shape[-1], r - 2
-        if r <= 2:
-            dw = (g.reshape(-1, c_out).T @ cols).reshape((c_out,) + w.shape[2:] + w.shape[1:2])
-            kernels.accumulate(np.moveaxis(dw, -1, 1))
-        else:
-            # per stacked tap, its input rows of the 2-d im2col against its output rows
-            # of g, a block of the first folded axis at a time: a block of <= ~1 MB stays
-            # in cache for all k taps, where whole-axis GEMMs read it k times from memory
-            rows = cols.reshape(xd.shape[:-1] + cols.shape[-1:])
-            n, width = xd.shape[-r - 1], cols.shape[-1]
-            block = max(2, (1 << 20) * n // max(rows.nbytes + g.nbytes, 1))
-            spans = list(_tap_spans(xd.shape[-r - 1:-3], k))
-            every = (slice(None),) * 3
-            dw = np.zeros((k ** f, width, c_out))
-            for a in range(0, n, block):
-                for i, out, src in spans:
-                    lo, hi = max(out[0].start, a), min(out[0].stop, a + block)
-                    if lo < hi:
-                        d = src[0].start - out[0].start
-                        gi = g[(..., slice(lo, hi)) + out[1:] + every].reshape(-1, c_out)
-                        dw[i] += rows[(..., slice(lo + d, hi + d)) + src[1:] + every].reshape(-1, width).T @ gi
-            # (k, ..., k, C_in, C_out) -> (C_out, C_in, k, ..., k)
-            kernels.accumulate(dw.reshape((k,) * r + w.shape[1:2] + (c_out,)).transpose((r + 1, r) + tuple(range(r))))
+        c_out = w.shape[0]
+        dw = (g.reshape(-1, c_out).T @ cols).reshape((c_out,) + w.shape[2:] + w.shape[1:2])
+        kernels.accumulate(np.moveaxis(dw, -1, 1))
         if isinstance(x, Tensor):
-            flipped = np.flip(w.swapaxes(0, 1), axis=tuple(range(2, w.ndim)))
-            x.accumulate(_corr_folded(g, flipped)[0])
+            x.accumulate(_corr_same(g, np.flip(w.swapaxes(0, 1), axis=(2, 3)))[0])
+
+    return Tensor(y, (x, kernels), back)
+
+
+class SeqCorr:
+    """Same-padding 3x3x3 correlation of a sentence (tau, H, W, C_in), fed its rows a piece at a time.
+
+    tau is the sentence axis. The three taps of w (C_out, C_in, 3, 3, 3) along
+    it are stacked as output channels of one 2-d correlation over (H, W), so its
+    im2col has 9 C_in columns, not 27 C_in (MEC, Cho & Brand, arXiv:1706.06873):
+    z[t, i] is input row t through tap i, computed once per row. Output row t is
+    z[t, 1] + z[t - 1, 0] + z[t + 1, 2], added in that order. Between feeds it
+    carries two planes: the last row's tap-0 plane, and that row's output, which
+    still waits for the next row's tap 2. The first row fed sees zero padding in
+    place of a tap 0, and the last row of a feed that ends the sentence in place
+    of a tap 2, so one whole-sentence feed is the same-padding 3-d correlation,
+    and pieces fed in turn give its rows bit for bit.
+    """
+
+    def __init__(self, w: np.ndarray):
+        self.kernel = np.moveaxis(w, 2, 0).reshape((-1,) + w.shape[1:2] + w.shape[3:])   # (3 C_out, C_in, 3, 3)
+        self.tap0 = self.waiting = None
+
+    def feed(self, x: np.ndarray, ends: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """(y, cols): the output rows x finishes, the one that waited, then x's own, but its last
+        unless x ends the sentence; and the im2col rows of x."""
+        z, cols = _corr_same(x, self.kernel)
+        z = z.reshape(z.shape[:-1] + (3, -1))
+        held = self.waiting is not None
+        y = np.concatenate(([self.waiting] if held else []) + [z[..., 1, :]])
+        if held:
+            y[1] += self.tap0
+        y[held + 1:] += z[:-1, ..., 0, :]
+        y[:-1] += z[1 - held:, ..., 2, :]
+        if not ends:
+            self.tap0, self.waiting = z[-1, ..., 0, :].copy(), y[-1:].copy()
+            y = y[:-1]
+        return y, cols
+
+
+def seq_conv(x: Tensor | np.ndarray, kernels: Parameter) -> Tensor:
+    """3x3x3 convolution along a sentence: stride 1, same padding, no bias; one SeqCorr feed.
+
+    x: (tau, H, W, C_in), channels last; kernels: (C_out, C_in, 3, 3, 3).
+    Returns (tau, H, W, C_out). A plain array x is a constant, as for conv. The
+    data gradient is one SeqCorr feed of g with the kernel flipped and its
+    channels swapped. The weight gradient is one GEMM per tap: the tap's input
+    rows of the im2col against its output rows of g, a block of rows at a time.
+    """
+    w = kernels.data
+    xd = _value(x)
+    if w.shape[2:] != (3, 3, 3):
+        raise ValueError("seq_conv kernels must be (C_out, C_in, 3, 3, 3), got %r" % (w.shape,))
+    if xd.ndim != 4 or xd.shape[-1] != w.shape[1]:
+        raise ValueError("seq_conv input must be (tau, H, W, %d), got %r" % (w.shape[1], xd.shape))
+    y, cols = SeqCorr(w).feed(xd)
+
+    def back(g):
+        # a block of <= ~1 MB stays in cache for all 3 taps, where whole-sentence
+        # GEMMs read it 3 times from memory
+        c_out, n, width = w.shape[0], len(xd), cols.shape[-1]
+        rows = cols.reshape(xd.shape[:-1] + (width,))
+        block = max(2, (1 << 20) * n // max(rows.nbytes + g.nbytes, 1))
+        dw = np.zeros((3, width, c_out))
+        for a in range(0, n, block):
+            for i in range(3):
+                # tap i adds input row t + i - 1 to output row t
+                lo, hi = max(a, 1 - i), min(a + block, n, n + 1 - i)
+                if lo < hi:
+                    dw[i] += rows[lo + i - 1:hi + i - 1].reshape(-1, width).T @ g[lo:hi].reshape(-1, c_out)
+        # (3, 3, 3, C_in, C_out) -> (C_out, C_in, 3, 3, 3)
+        kernels.accumulate(dw.reshape((3, 3, 3) + w.shape[1:2] + (c_out,)).transpose(4, 3, 0, 1, 2))
+        if isinstance(x, Tensor):
+            x.accumulate(SeqCorr(np.flip(w.swapaxes(0, 1), axis=(2, 3, 4))).feed(g)[0])
 
     return Tensor(y, (x, kernels), back)
 

@@ -98,6 +98,9 @@ def test_config_validation():
         CgsCnnConfig(pyramid_channels=(16, 32, 64, 32))
     with pytest.raises(ValueError):
         CgsCnnConfig(tianzige_channels=32)   # glyph vectors would shrink
+    for channels in ((16, 0, 64, 64), (16, -2, 64, 64)):
+        with pytest.raises(ValueError, match="pyramid_channels"):
+            CgsCnnConfig(pyramid_channels=channels)
 
 
 def test_rejects_bad_graphs(rng):
@@ -241,12 +244,19 @@ def test_no_grad_encode_is_exact_at_every_length(rng, variant, size, tau):
 
 def test_long_no_grad_encode_mixes_each_row_once(rng, monkeypatch):
     # each of 2 regions reads HALO rows past its inner end and no more, where 8-row
-    # chunks with a halo on each side made each 3-d conv read 92 rows for 64
+    # chunks with a halo on each side made each 3-d conv read 92 rows for 64; a 3-d
+    # conv's GEMM is the one whose kernel stacks 3 taps of conv3d_channels outputs
     config = CgsCnnConfig()
     params = init_cgs_params(config, np.random.default_rng(5))
     tau, conv_rows, pyramid_rows = 64, [], []
-    corr, vectors = cgs_cnn._corr_same, cgs_cnn._glyph_vectors
-    monkeypatch.setattr(cgs_cnn, "_corr_same", lambda x, w: conv_rows.append((x.shape[-1], len(x))) or corr(x, w))
+    corr, vectors = ops._corr_same, cgs_cnn._glyph_vectors
+
+    def count(x, w):
+        if w.shape[0] == 3 * config.conv3d_channels:
+            conv_rows.append((x.shape[-1], len(x)))
+        return corr(x, w)
+
+    monkeypatch.setattr(ops, "_corr_same", count)
     monkeypatch.setattr(cgs_cnn, "_glyph_vectors", lambda x, *args: pyramid_rows.append(len(x)) or vectors(x, *args))
     monkeypatch.setattr(cgs_cnn, "usable_cpus", lambda: 2)
     graphs = rng.random((tau, 50, 50))

@@ -69,6 +69,10 @@ def test_bad_variants_rejected():
 
 
 def test_scalar_validation():
+    with pytest.raises(ValueError, match="seed"):
+        RunConfig(seed=-1)
+    with pytest.raises(ValueError, match="pyramid_channels"):
+        config_from_dict({"cnn": {"pyramid_channels": [16, 0, 64, 64]}})
     with pytest.raises(ValueError):
         RunConfig(epochs=-1)
     with pytest.raises(ValueError):

@@ -42,6 +42,14 @@ def test_pgm_rejects_truncated(tmp_path):
         read_pgm(p)
 
 
+@pytest.mark.parametrize("size", [b"-5 -5", b"0 4", b"4 0"])
+def test_pgm_rejects_non_positive_size(tmp_path, size):
+    p = tmp_path / "x.pgm"
+    p.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(16))
+    with pytest.raises(ValueError, match="x.pgm: PGM size"):
+        read_pgm(p)
+
+
 def test_load_atlas_normalizes(tmp_path):
     write_pgm(tmp_path / "U+6211.pgm", np.full((50, 50), 255, np.uint8))
     atlas = load_atlas(tmp_path)

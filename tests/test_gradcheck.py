@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fgn.gradcheck import grad_check
-from fgn.ops import conv, pool
+from fgn.ops import pool, seq_conv
 from fgn.tensor import Parameter, Tensor, sigmoid
 
 
@@ -18,7 +18,7 @@ def test_conv3d_pool1d_stack(rng):
     d = rng.standard_normal(16)
 
     def loss():
-        y = conv(x, w)
+        y = seq_conv(x, w)
         v = y.reshape((2 * 2 * 4 * 4, 1))
         return (pool(v, 4, 4, 1, "max") * Tensor(d[:, None])).sum()
 

@@ -1,12 +1,14 @@
 """Layer ops against hand arithmetic and brute-force loop oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fgn import ops
 from fgn.gradcheck import grad_check
-from fgn.ops import LstmCellParams, conv, dropout, init_lstm_params, lstm_sequence, lstm_step, pool
+from fgn.ops import LstmCellParams, conv, dropout, init_lstm_params, lstm_sequence, lstm_step, pool, seq_conv
 from fgn.optim import AdamState, adam_step
 from fgn.tensor import Parameter, Tensor, matmul
 
@@ -54,7 +56,7 @@ def conv3d_loops_adjoint(x, w, d):
 
 
 def last(x):
-    """Channels-first (C, *S) -> the channels-last (*S, C) that conv and pool read."""
+    """Channels-first (C, *S) -> the channels-last (*S, C) that conv, seq_conv and pool read."""
     return np.moveaxis(x, 0, -1)
 
 
@@ -101,16 +103,20 @@ def test_conv2d_rejects_bad_shapes(rng):
 
 
 @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
-@pytest.mark.parametrize("k", [1, 3, 5])
-@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("rank,k", [(2, 1), (2, 3), (2, 5), (3, 3)])
 def test_conv_matches_channels_first_oracles(rng, rank, k, lead):
     spatial = (3, 4, 5)[-rank:]
     x = rng.standard_normal(lead + (2,) + spatial)
     w = rng.standard_normal((3, 2) + (k,) * rank)
+    items = x.reshape((-1, 2) + spatial)
     oracle = conv2d_loops if rank == 2 else conv3d_loops
-    want = np.stack([oracle(item, w) for item in x.reshape((-1, 2) + spatial)])
+    want = np.stack([oracle(item, w) for item in items])
     want = np.moveaxis(want, 1, -1).reshape(lead + spatial + (3,))
-    got = conv(Tensor(np.moveaxis(x, len(lead), -1)), Parameter(w, name="w")).data
+    if rank == 2:
+        got = conv(Tensor(np.moveaxis(x, len(lead), -1)), Parameter(w, name="w")).data
+    else:   # seq_conv takes one sentence, so each item of the leading axes is one
+        got = np.stack([seq_conv(Tensor(last(item)), Parameter(w, name="w")).data for item in items])
+        got = got.reshape(want.shape)
     assert got.shape == want.shape
     assert np.allclose(got, want, atol=1e-12)
 
@@ -118,47 +124,52 @@ def test_conv_matches_channels_first_oracles(rng, rank, k, lead):
 def test_conv_rejects_bad_shapes(rng):
     x = Tensor(rng.random((3, 4, 4, 2)))
     with pytest.raises(ValueError, match="odd"):
-        conv(x, Parameter(np.zeros((1, 2, 2, 2, 2)), name="w"))     # even kernel
+        conv(x, Parameter(np.zeros((1, 2, 2, 2)), name="w"))        # even kernel
     with pytest.raises(ValueError, match="odd"):
-        conv(x, Parameter(np.zeros((1, 2, 3, 3, 1)), name="w"))     # not cubic
+        conv(x, Parameter(np.zeros((1, 2, 3, 1)), name="w"))        # not square
     with pytest.raises(ValueError, match="odd"):
         conv(x, Parameter(np.zeros((1, 2)), name="w"))              # no spatial axis
+    with pytest.raises(ValueError, match=re.escape("(C_out, C_in, k, k)")):
+        conv(x, Parameter(np.zeros((1, 2, 3, 3, 3)), name="w"))     # a 3-d kernel is seq_conv's
     with pytest.raises(ValueError, match="channel"):
-        conv(x, Parameter(np.zeros((1, 3, 3, 3, 3)), name="w"))
+        conv(x, Parameter(np.zeros((1, 3, 3, 3)), name="w"))
     with pytest.raises(ValueError, match="spatial"):
         conv(Tensor(rng.random((4, 2))), Parameter(np.zeros((1, 2, 3, 3)), name="w"))
-    with pytest.raises(ValueError, match="spatial"):
-        conv(Tensor(rng.random((4, 4, 2))), Parameter(np.zeros((1, 2, 3, 3, 3)), name="w"))
+    with pytest.raises(ValueError, match=re.escape("(C_out, C_in, 3, 3, 3)")):
+        seq_conv(x, Parameter(np.zeros((1, 2, 5, 5, 5)), name="w"))
+    with pytest.raises(ValueError, match=re.escape("(C_out, C_in, 3, 3, 3)")):
+        seq_conv(x, Parameter(np.zeros((1, 2, 3, 3)), name="w"))
+    with pytest.raises(ValueError, match="tau"):
+        seq_conv(x, Parameter(np.zeros((1, 3, 3, 3, 3)), name="w"))     # channel mismatch
+    with pytest.raises(ValueError, match="tau"):
+        seq_conv(Tensor(rng.random((4, 4, 2))), Parameter(np.zeros((1, 2, 3, 3, 3)), name="w"))
+    with pytest.raises(ValueError, match="tau"):
+        seq_conv(Tensor(rng.random((2, 3, 4, 4, 2))), Parameter(np.zeros((1, 2, 3, 3, 3)), name="w"))
 
 
-@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
-@pytest.mark.parametrize("k", [1, 3, 5])
 @pytest.mark.parametrize("tau", [1, 2, 3, 6])
-def test_folded_conv3d_matches_the_loop_oracle_and_its_adjoint(rng, tau, k, lead):
-    # the taps along tau are stacked as output channels; with tau < k some of
+def test_seq_conv_matches_the_loop_oracle_and_its_adjoint(rng, tau):
+    # the taps along tau are stacked as output channels; with tau < 3 some of
     # them fall wholly outside the input and must add nothing
-    x = rng.standard_normal(lead + (2, tau, 3, 4))
-    w = rng.standard_normal((3, 2, k, k, k))
-    d = rng.standard_normal(lead + (3, tau, 3, 4))
-    xt, wt = Parameter(np.moveaxis(x, len(lead), -1), name="x"), Parameter(w, name="w")
-    y = conv(xt, wt)
-    (y * Tensor(np.moveaxis(d, len(lead), -1))).sum().backward()
-    items = list(zip(x.reshape((-1,) + x.shape[len(lead):]), d.reshape((-1,) + d.shape[len(lead):])))
-    want_y = np.stack([conv3d_loops(xi, w) for xi, _ in items]).reshape(d.shape)
-    adjoints = [conv3d_loops_adjoint(xi, w, di) for xi, di in items]
-    want_dx = np.stack([dx for dx, _ in adjoints]).reshape(x.shape)
-    np.testing.assert_allclose(y.data, np.moveaxis(want_y, len(lead), -1), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(xt.grad, np.moveaxis(want_dx, len(lead), -1), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(wt.grad, sum(dw for _, dw in adjoints), rtol=1e-12, atol=1e-12)
+    x = rng.standard_normal((2, tau, 3, 4))
+    w = rng.standard_normal((3, 2, 3, 3, 3))
+    d = rng.standard_normal((3, tau, 3, 4))
+    xt, wt = Parameter(last(x), name="x"), Parameter(w, name="w")
+    y = seq_conv(xt, wt)
+    (y * Tensor(last(d))).sum().backward()
+    want_dx, want_dw = conv3d_loops_adjoint(x, w, d)
+    np.testing.assert_allclose(y.data, last(conv3d_loops(x, w)), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(xt.grad, last(want_dx), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(wt.grad, want_dw, rtol=1e-12, atol=1e-12)
 
 
 def test_conv3d_runs_only_2d_correlations(rng, monkeypatch):
     # forward and data gradient each run one 2-d im2col, the taps along the
-    # first axis stacked as output channels
+    # sentence stacked as output channels
     inner, kernels = ops._corr_same, []
     monkeypatch.setattr(ops, "_corr_same", lambda x, w: kernels.append(w.shape) or inner(x, w))
     x = Parameter(rng.standard_normal((4, 5, 5, 2)), name="x")
-    conv(x, Parameter(rng.standard_normal((3, 2, 3, 3, 3)), name="w")).sum().backward()
+    seq_conv(x, Parameter(rng.standard_normal((3, 2, 3, 3, 3)), name="w")).sum().backward()
     assert kernels == [(9, 2, 3, 3), (6, 3, 3, 3)]
 
 
@@ -166,7 +177,7 @@ def test_conv3d_delta_kernel_identity(rng):
     x = rng.random((3, 4, 4, 1))
     w = np.zeros((1, 1, 3, 3, 3))
     w[0, 0, 1, 1, 1] = 1.0
-    y = conv(Tensor(x), Parameter(w, name="w"))
+    y = seq_conv(Tensor(x), Parameter(w, name="w"))
     assert np.array_equal(y.data, x)
 
 
@@ -174,7 +185,7 @@ def test_conv3d_ones_center_value():
     # 3x3 spatial times the 2 frames that fall inside the padded support
     x = np.ones((2, 3, 3, 1))
     w = Parameter(np.ones((1, 1, 3, 3, 3)), name="w")
-    y = conv(Tensor(x), w).data
+    y = seq_conv(Tensor(x), w).data
     assert y[0, 1, 1, 0] == 18.0
     assert y[1, 1, 1, 0] == 18.0
 
@@ -182,12 +193,12 @@ def test_conv3d_ones_center_value():
 def test_conv3d_matches_loop_oracle(rng):
     x = rng.standard_normal((2, 3, 5, 4))
     w = rng.standard_normal((3, 2, 3, 3, 3))
-    y = conv(Tensor(last(x)), Parameter(w, name="w"))
+    y = seq_conv(Tensor(last(x)), Parameter(w, name="w"))
     assert np.allclose(y.data, last(conv3d_loops(x, w)), atol=1e-12)
 
 
 def test_conv3d_preserves_extent_tau1(rng):
-    y = conv(Tensor(rng.random((1, 4, 4, 1))), Parameter(rng.random((2, 1, 3, 3, 3)), name="w"))
+    y = seq_conv(Tensor(rng.random((1, 4, 4, 1))), Parameter(rng.random((2, 1, 3, 3, 3)), name="w"))
     assert y.data.shape == (1, 4, 4, 2)
 
 
@@ -200,7 +211,7 @@ def test_conv_gradients(rng):
     d3 = rng.standard_normal((3, 4, 4, 2))
 
     def loss():
-        return (conv(x, w) * Tensor(d2)).sum() + (conv(x3, w3) * Tensor(d3)).sum()
+        return (conv(x, w) * Tensor(d2)).sum() + (seq_conv(x3, w3) * Tensor(d3)).sum()
 
     assert grad_check(loss, [x, w, x3, w3]).passed
 
